@@ -380,6 +380,9 @@ def cmd_flow(cfg: RunConfig) -> int:
         "formulas": FORMULA_VERSIONS,
     })
     print(f"flow: {len(traj.rows) - 1} steps to t={fmt(traj.rows[-1][0])} -> {out}")
+    if isinstance(traj.abort_error, ConvergenceFailure):
+        print(f"flow: convergence failure: {traj.abort_error}", file=sys.stderr)
+        return EXIT_CONVERGENCE
     return EXIT_OK
 
 

@@ -46,6 +46,10 @@ class PositivityLoss(EdtorusError):
     """The evolving conformal factor dropped below the positivity floor."""
 
 
+class StepTooLarge(EdtorusError, ValueError):
+    """A fixed time step violates the CFL precondition of the explicit scheme."""
+
+
 class NoSimpleEigenvalue(EdtorusError):
     """No quaternionic-simple eigenvalue cluster near the requested target."""
 

@@ -274,10 +274,6 @@ def quadrature(f: ScalarField) -> float:
     return integrate_values(f.grid, f.values)
 
 
-def scalar_l2_norm(f: ScalarField) -> float:
-    return float(np.sqrt(f.grid.cell_volume * np.sum(f.values ** 2)))
-
-
 def pointwise_norm_sq(psi: SpinorField) -> np.ndarray:
     """|psi(x)|^2, gauge independent (the trivializing phase cancels)."""
     v = psi.values
@@ -311,10 +307,6 @@ def weighted_spinor_inner(u: ScalarField, psi: SpinorField, phi: SpinorField,
                           exps: ExponentTable) -> float:
     """The weighted inner product Re int u^{2/(m-2)} (psi, phi) dvol."""
     return weighted_spinor_inner_c(u, psi, phi, exps).real
-
-
-def weighted_spinor_norm(u: ScalarField, psi: SpinorField, exps: ExponentTable) -> float:
-    return float(np.sqrt(max(weighted_spinor_inner(u, psi, psi, exps), 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,15 @@ from .conformal import (
     scal_conformal,
 )
 from .dirac import apply_dirac
-from .errors import NoSimpleEigenvalue, PositivityLoss, SmallGap, WindowTooNarrow
+from .errors import (
+    ConvergenceFailure,
+    EdtorusError,
+    NoSimpleEigenvalue,
+    PositivityLoss,
+    SmallGap,
+    StepTooLarge,
+    WindowTooNarrow,
+)
 from .fields import (
     ExponentTable,
     ScalarField,
@@ -189,12 +197,6 @@ def cfl_bound(u: ScalarField, exps: ExponentTable, cfl: float) -> float:
     return cfl * u.grid.h ** 2 * float((u.values ** exps.p4).min()) / exps.c_m
 
 
-def _spectral_dt(u: ScalarField, exps: ExponentTable, factor: float) -> float:
-    # same h^2 scaling as the precondition; the factor sits below the RK4
-    # real-axis stability limit for the spectral Laplacian (~0.094)
-    return factor * u.grid.h ** 2 * float((u.values ** exps.p4).min()) / exps.c_m
-
-
 def _check_positivity(u: ScalarField, eps_pos: float) -> None:
     if u.min() < eps_pos:
         raise PositivityLoss(f"min u = {u.min():.3e} below floor {eps_pos:.1e}")
@@ -276,7 +278,7 @@ def step(state: FlowState, dt: float, exps: ExponentTable,
     if config.scheme == "rk4_explicit":
         bound = cfl_bound(state.u, exps, config.cfl)
         if dt > bound * (1.0 + 1e-12):
-            raise ValueError(f"dt = {dt:.3e} violates the CFL precondition {bound:.3e}")
+            raise StepTooLarge(f"dt = {dt:.3e} violates the CFL precondition {bound:.3e}")
         return _rk4_step(state, dt, exps, config)
     return _imex_step(state, dt, exps, config)
 
@@ -335,7 +337,12 @@ class Trajectory:
     rows: list = field(default_factory=list)
     states: list = field(default_factory=list)
     final_state: Optional[FlowState] = None
-    abort_reason: Optional[str] = None
+    abort_error: Optional[EdtorusError] = None
+
+    @property
+    def abort_reason(self) -> Optional[str]:
+        exc = self.abort_error
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
 
     def record(self, state: FlowState, dt: float, keep_state: bool) -> None:
         self.rows.append((state.t, state.pair.lam, state.energy, state.vol,
@@ -400,7 +407,9 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
 
     Finite-time aborts (positivity loss, gap collapse, solver failure) are
     recorded as the trajectory's abort reason, not raised: only short-time
-    existence is guaranteed.
+    existence is guaranteed.  Only package errors (EdtorusError) abort this
+    way; a LinAlgError from a dense factorization is recorded as a
+    ConvergenceFailure, and any other exception propagates.
     """
     exps = exps or ExponentTable(3)
     state = prepare_initial_state(u0, target, exps, config, spin)
@@ -416,7 +425,7 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
         if config.dt is not None:
             dt = config.dt
         else:
-            dt = _spectral_dt(state.u, exps, config.stability_factor)
+            dt = cfl_bound(state.u, exps, config.stability_factor)
         dt = min(dt, config.horizon - state.t)
         try:
             state = step(state, dt, exps, config)
@@ -425,11 +434,11 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
                 projections_done += 1
                 state = project_state(state, exps, config,
                                       full=projections_done % config.gap_refresh == 0)
-        except (PositivityLoss, SmallGap) as exc:
-            traj.abort_reason = f"{type(exc).__name__}: {exc}"
+        except np.linalg.LinAlgError as exc:
+            traj.abort_error = ConvergenceFailure(f"LinAlgError: {exc}")
             break
-        except Exception as exc:  # ConvergenceFailure and friends
-            traj.abort_reason = f"{type(exc).__name__}: {exc}"
+        except EdtorusError as exc:
+            traj.abort_error = exc
             break
         state = state.with_diagnostics(exps)
         traj.record(state, dt, keep_states)
@@ -445,7 +454,7 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
 def linearized_flow_operator(v: ScalarField, pair: EigenPair,
                              exps: ExponentTable,
                              gap: Optional[float] = None,
-                             resolvent_tol: float = 1e-10) -> NonlocalOperator:
+                             resolvent_tol: float = 1e-12) -> NonlocalOperator:
     """Linearization remainder of the flow right side at the path point v.
 
     Defined by the directional-derivative identity

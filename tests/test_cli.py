@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import edtorus.flow
 from edtorus.cli import (
     EXIT_CONFIG,
+    EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_REJECTED,
     build_initial,
@@ -14,7 +16,7 @@ from edtorus.cli import (
     main,
     parse_config_text,
 )
-from edtorus.errors import ParseError, ValidationError
+from edtorus.errors import ConvergenceFailure, ParseError, PositivityLoss, ValidationError
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 
@@ -207,6 +209,26 @@ class TestFlowCommand:
         snap1 = (tmp_path / "out1" / "u_000000.edf").read_bytes()
         snap2 = (tmp_path / "out2" / "u_000000.edf").read_bytes()
         assert snap1 == snap2
+
+    @pytest.mark.parametrize("error, code", [
+        (ConvergenceFailure("injected inner-solver failure"), EXIT_CONVERGENCE),
+        (PositivityLoss("injected positivity loss"), EXIT_OK),
+    ])
+    def test_abort_exit_code(self, tmp_path, monkeypatch, error, code):
+        # solver failure exits 2, a mathematical abort exits 0; both write
+        # the partial trajectory and the abort reason
+        def failing_step(*_args, **_kwargs):
+            raise error
+
+        monkeypatch.setattr(edtorus.flow, "step", failing_step)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out"))
+        assert main(["flow", "--config", "f.cfg"]) == code
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 2  # header and the initial state
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["steps"] == 0
+        assert summary["abort_reason"] == f"{type(error).__name__}: {error}"
 
 
 class TestValidators:

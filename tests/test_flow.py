@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import edtorus.flow
 from edtorus.conformal import conformal_laplacian, laplacian, total_energy
 from edtorus.dirac import quaternionic_j
-from edtorus.errors import NoSimpleEigenvalue, SmallGap
+from edtorus.errors import ConvergenceFailure, NoSimpleEigenvalue, SmallGap
 from edtorus.fields import (
     SpinorField,
     TorusGrid,
@@ -181,6 +182,33 @@ class TestRun:
         with pytest.raises(NoSimpleEigenvalue):
             prepare_initial_state(constant_field(grid, 1.0), 0.87, exps,
                                   FlowConfig(eigen_count=8))
+
+    @pytest.fixture
+    def prepared(self, monkeypatch, state6, exps):
+        # skip the window solve: start the run from the dense tracked pair
+        grid, u, pair = state6
+        state = FlowState(0.0, u, pair, gap=0.02).with_diagnostics(exps)
+        monkeypatch.setattr(edtorus.flow, "prepare_initial_state",
+                            lambda *_args, **_kwargs: state)
+        return u
+
+    def test_programming_error_propagates(self, monkeypatch, prepared):
+        def broken_step(*_args, **_kwargs):
+            raise TypeError("injected programming error")
+
+        monkeypatch.setattr(edtorus.flow, "step", broken_step)
+        with pytest.raises(TypeError, match="injected programming error"):
+            run(prepared, 0.88, FlowConfig(horizon=0.01))
+
+    def test_linalg_error_aborts_as_convergence_failure(self, monkeypatch, prepared):
+        def singular_step(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(edtorus.flow, "step", singular_step)
+        traj = run(prepared, 0.88, FlowConfig(horizon=0.01))
+        assert isinstance(traj.abort_error, ConvergenceFailure)
+        assert traj.abort_reason == "ConvergenceFailure: LinAlgError: Singular matrix"
+        assert len(traj.rows) == 1
 
     def test_short_generic_run_conserves(self, exps):
         grid = TorusGrid(6)

@@ -12,7 +12,10 @@ from edtorus.fields import (
 )
 from edtorus.pencil import (
     EigenPair,
+    Pencil,
+    ShiftedDiagonalPreconditioner,
     dense_oracle,
+    minres_hermitian,
     refine_pair,
     rigidity_probe,
     simplicity_gap,
@@ -56,6 +59,47 @@ class TestDenseOracle:
         pair = dense.pair(10)
         assert pair.normalization_error(u, exps) < 1e-12
         assert pair.constraint_residual(u, exps) < 1e-11
+
+
+class TestMinres:
+    """The block solver on the shifted pencil C - 0.87 (indefinite)."""
+
+    @pytest.fixture
+    def system(self, grid6, spin, exps, rng):
+        pencil = Pencil(generic_u(grid6), spin, exps)
+        prec = ShiftedDiagonalPreconditioner(pencil, 0.87)
+
+        def shifted(z):
+            return pencil.apply(z) - 0.87 * z
+
+        scales = np.logspace(-6, 3, 4)
+        b = scales * (rng.standard_normal((pencil.dim, 4))
+                      + 1j * rng.standard_normal((pencil.dim, 4)))
+        b = np.column_stack([b[:, :2], np.zeros(pencil.dim), b[:, 2:]])
+        return shifted, prec, b
+
+    @pytest.mark.parametrize("rtol", [1e-8, 1e-11])
+    def test_true_residual_meets_rtol(self, system, rtol):
+        shifted, prec, b = system
+        x, info = minres_hermitian(shifted, b, precond=prec, rtol=rtol)
+        assert info == 0
+        resid = np.linalg.norm(b - shifted(x), axis=0)
+        assert np.all(resid <= rtol * np.linalg.norm(b, axis=0))
+        assert np.all(x[:, 2] == 0)
+
+    def test_vector_matches_block_of_one(self, system):
+        shifted, prec, b = system
+        x_vec, info_vec = minres_hermitian(shifted, b[:, 0], precond=prec, rtol=1e-10)
+        x_blk, info_blk = minres_hermitian(shifted, b[:, :1], precond=prec, rtol=1e-10)
+        assert info_vec == info_blk == 0
+        assert np.array_equal(x_vec, x_blk[:, 0])
+
+    def test_maxiter_counts_unconverged_columns(self, system):
+        shifted, prec, b = system
+        x, info = minres_hermitian(shifted, b, precond=prec, rtol=1e-11, maxiter=3)
+        resid = np.linalg.norm(b - shifted(x), axis=0)
+        unconverged = np.count_nonzero(resid > 1e-11 * np.linalg.norm(b, axis=0))
+        assert info == unconverged == 4
 
 
 class TestSolveWindow:
