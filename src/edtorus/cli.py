@@ -41,8 +41,8 @@ from .fields import (
     write_snapshot,
 )
 from .flow import FORMULA_VERSIONS, FlowConfig, TRAJECTORY_COLUMNS, run as flow_run
-from .pencil import solve_window
-from .perturb import lambda_dot_fd_study, psi_dot_fd_study
+from .pencil import dense_oracle, solve_window
+from .perturb import lambda_dot, lambda_dot_fd_study, psi_dot_fd_study, tracked_pair
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -204,7 +204,11 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> ScalarField:
                                   key="initial.terms")
         return scalar_field(grid, np.full(grid.shape, value))
     if kind == "file":
-        f = read_snapshot(spec, length=grid.length)
+        try:
+            f = read_snapshot(spec, length=grid.length)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read initial snapshot {spec!r}: {exc}",
+                                  key="initial.terms") from None
         if not isinstance(f, ScalarField) or f.grid.n != grid.n:
             raise ValidationError("initial snapshot must be a scalar field on the run grid",
                                   key="initial.terms")
@@ -398,17 +402,10 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
     psi_rep = psi_dot_fd_study(u, udot, 0.88, exps)
 
     # uniform scaling closed form lambda' = -2 s lambda
-    from .pencil import dense_oracle
-    from .perturb import lambda_dot
-    from .pencil import EigenPair
-
     s = 0.41
-    dense = dense_oracle(u)
-    sel = dense.nearest_indices(0.88, 2)
-    lam0 = float(dense.eigenvalues[sel].mean())
-    pair = EigenPair(lam0, dense.pair(int(sel[0])).psi)
+    pair = tracked_pair(dense_oracle(u).window(0.88, 2), 0.88)
     scaling_err = abs(lambda_dot(u, scalar_field(grid, s * u.values), pair, exps)
-                      + 2.0 * s * lam0)
+                      + 2.0 * s * pair.lam)
 
     ok = (abs(lam_rep.slope - 2.0) <= 0.1 and abs(psi_rep.slope - 2.0) <= 0.1
           and scaling_err <= 1e-12 and abs(psi_rep.extras["norm_rate"]) <= 1e-9)

@@ -183,10 +183,6 @@ def field_from_function(grid: TorusGrid, fn) -> ScalarField:
     return scalar_field(grid, fn(x1, x2, x3))
 
 
-def spinor_field(grid: TorusGrid, spin: SpinStructure, values) -> SpinorField:
-    return SpinorField(grid, spin, values)
-
-
 def constant_spinor(grid: TorusGrid, spin: SpinStructure, fiber) -> SpinorField:
     v = np.zeros(grid.shape + (2,), dtype=np.complex128)
     v[..., 0] = fiber[0]
@@ -245,9 +241,7 @@ def spinor_momentum(n: int, length: float, shift: tuple):
 
 def fourier_transform(f):
     """Normalized forward DFT of a ScalarField or SpinorField (per component)."""
-    if isinstance(f, ScalarField):
-        return grid_fft(f.values) / f.grid.num_points
-    if isinstance(f, SpinorField):
+    if isinstance(f, (ScalarField, SpinorField)):
         return grid_fft(f.values) / f.grid.num_points
     raise TypeError(f"expected a field, got {type(f)!r}")
 
@@ -335,11 +329,11 @@ def write_snapshot(path, f) -> None:
 
 def read_snapshot(path, length: float = TWO_PI, spin: SpinStructure | None = None):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
-        n, kind, _reserved = struct.unpack("<III", fh.read(12))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        data = fh.read()
+    if data[:4] != _MAGIC or len(data) < 16:
+        raise ValueError(f"bad or truncated snapshot header {data[:16]!r}")
+    n, kind, _reserved = struct.unpack_from("<III", data, 4)
+    raw = np.frombuffer(data, dtype="<f8", offset=16)
     grid = TorusGrid(n, length)
     if kind == 0:
         if raw.size != grid.num_points:

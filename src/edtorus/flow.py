@@ -24,7 +24,7 @@ from .conformal import (
     laplacian,
     scal_conformal,
 )
-from .dirac import apply_dirac
+from .dirac import apply_dirac, quaternionic_j
 from .errors import (
     ConvergenceFailure,
     EdtorusError,
@@ -61,13 +61,17 @@ from .pencil import (
     refine_pair,
     simplicity_gap,
     solve_window,
+    spectrum_near,
 )
 from .perturb import (
+    eigenpath_step,
     lambda_dot,
     projected_resolvent,
     psi_dot,
     quaternion_align,
     renormalize,
+    rk4_step,
+    tracked_pair,
 )
 
 #: identifiers of the formula variants exercised, for machine-readable audit
@@ -202,36 +206,24 @@ def _check_positivity(u: ScalarField, eps_pos: float) -> None:
         raise PositivityLoss(f"min u = {u.min():.3e} below floor {eps_pos:.1e}")
 
 
-def _coupled_rate(u_vals: np.ndarray, lam: float, psi_vals: np.ndarray,
-                  grid, spin, exps: ExponentTable, config: FlowConfig, gap: float):
-    u = scalar_field(grid, u_vals)
-    _check_positivity(u, config.eps_pos)
-    pair = EigenPair(lam, SpinorField(grid, spin, psi_vals))
-    du = rhs_u(u, pair, exps)
-    dlam = lambda_dot(u, du, pair, exps)
-    dpsi = psi_dot(u, du, pair, dlam, exps, tol=config.resolvent_tol,
-                   gap=gap, gap_tol=config.gap_tol * (1.0 + abs(lam)))
-    return du.values, dlam, dpsi.values
-
-
 def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
               config: FlowConfig) -> FlowState:
     grid, spin = state.u.grid, state.pair.psi.spin
-    u0, lam0, psi0 = state.u.values, state.pair.lam, state.pair.psi.values
     gap = state.gap
 
-    k1 = _coupled_rate(u0, lam0, psi0, grid, spin, exps, config, gap)
-    k2 = _coupled_rate(u0 + 0.5 * dt * k1[0], lam0 + 0.5 * dt * k1[1],
-                       psi0 + 0.5 * dt * k1[2], grid, spin, exps, config, gap)
-    k3 = _coupled_rate(u0 + 0.5 * dt * k2[0], lam0 + 0.5 * dt * k2[1],
-                       psi0 + 0.5 * dt * k2[2], grid, spin, exps, config, gap)
-    k4 = _coupled_rate(u0 + dt * k3[0], lam0 + dt * k3[1],
-                       psi0 + dt * k3[2], grid, spin, exps, config, gap)
+    def coupled_rate(_t: float, y: tuple) -> tuple:
+        u_vals, lam, psi_vals = y
+        u = scalar_field(grid, u_vals)
+        _check_positivity(u, config.eps_pos)
+        pair = EigenPair(lam, SpinorField(grid, spin, psi_vals))
+        du = rhs_u(u, pair, exps)
+        dlam = lambda_dot(u, du, pair, exps)
+        dpsi = psi_dot(u, du, pair, dlam, exps, tol=config.resolvent_tol,
+                       gap=gap, gap_tol=config.gap_tol * (1.0 + abs(lam)))
+        return du.values, dlam, dpsi.values
 
-    u1 = u0 + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    lam1 = lam0 + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    psi1 = psi0 + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-
+    u1, lam1, psi1 = rk4_step(coupled_rate, state.t, dt,
+                              (state.u.values, state.pair.lam, state.pair.psi.values))
     u_new = scalar_field(grid, u1)
     _check_positivity(u_new, config.eps_pos)
     return FlowState(state.t + dt, u_new,
@@ -263,8 +255,6 @@ def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
     def udot_of(_tt: float) -> ScalarField:
         return scalar_field(grid, udot_vals)
 
-    from .perturb import eigenpath_step
-
     pair1 = eigenpath_step(u_of, udot_of, state.t, dt, state.pair, exps,
                            resolvent_tol=config.resolvent_tol,
                            gap=state.gap,
@@ -292,36 +282,29 @@ def project_state(state: FlowState, exps: ExponentTable, config: FlowConfig,
     the last certified gap; a full window re-solve re-measures the gap (run
     schedules those every `gap_refresh` projections).
     """
-    from .dirac import quaternionic_j
-
     u, pair = state.u, state.pair
     if not full:
-        refreshed = refine_pair(u, pair, exps, tol=solver_tol)
-        aligned = quaternion_align(refreshed.psi, pair.psi, u, exps)
-        new_pair = renormalize(u, EigenPair(refreshed.lam, aligned), exps)
-        return replace(state, pair=new_pair)
-
-    pencil = Pencil(u, pair.psi.spin, exps)
-    warm = np.column_stack([
-        pencil.from_spinor(pair.psi),
-        pencil.from_spinor(quaternionic_j(pair.psi)),
-    ])
-    # shift the window center off the tracked eigenvalue: sigma exactly on an
-    # eigenvalue makes the inner shifted solves singular
-    sigma = pair.lam + 0.25 * max(state.gap, DEFAULT_GAP_TOL * (1.0 + abs(pair.lam)))
-    window = solve_window(u, sigma, config.eigen_count, pair.psi.spin, exps,
-                          tol=solver_tol, warm_start=warm, seed=config.seed)
-    report = simplicity_gap(window, pair.lam,
-                            gap_tol=config.gap_tol * (1.0 + abs(pair.lam)))
-    if report.kind != "quaternionic_simple":
-        raise SmallGap(
-            f"tracked cluster no longer simple: {report.kind}, gap {report.exterior_gap:.3e}")
-    group = window.cluster_containing(pair.lam)
-    lam_new = float(window.eigenvalues[group].mean())
-    member = window.pairs[group[0]].psi
-    aligned = quaternion_align(member, pair.psi, u, exps)
-    new_pair = renormalize(u, EigenPair(lam_new, aligned), exps)
-    return replace(state, pair=new_pair, gap=report.exterior_gap)
+        fresh, gap = refine_pair(u, pair, exps, tol=solver_tol), state.gap
+    else:
+        pencil = Pencil(u, pair.psi.spin, exps)
+        warm = np.column_stack([
+            pencil.from_spinor(pair.psi),
+            pencil.from_spinor(quaternionic_j(pair.psi)),
+        ])
+        # shift the window center off the tracked eigenvalue: sigma exactly on an
+        # eigenvalue makes the inner shifted solves singular
+        sigma = pair.lam + 0.25 * max(state.gap, DEFAULT_GAP_TOL * (1.0 + abs(pair.lam)))
+        window = solve_window(u, sigma, config.eigen_count, pair.psi.spin, exps,
+                              tol=solver_tol, warm_start=warm, seed=config.seed)
+        report = simplicity_gap(window, pair.lam,
+                                gap_tol=config.gap_tol * (1.0 + abs(pair.lam)))
+        if report.kind != "quaternionic_simple":
+            raise SmallGap(
+                f"tracked cluster no longer simple: {report.kind}, gap {report.exterior_gap:.3e}")
+        fresh, gap = tracked_pair(window, pair.lam), report.exterior_gap
+    aligned = quaternion_align(fresh.psi, pair.psi, u, exps)
+    new_pair = renormalize(u, EigenPair(fresh.lam, aligned), exps)
+    return replace(state, pair=new_pair, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +352,6 @@ def prepare_initial_state(u0: ScalarField, target: float, exps: ExponentTable,
     spin = spin or SpinStructure()
     _check_positivity(u0, config.eps_pos)
     report = None
-    window = None
-    lam_near = None
     for count in (config.eigen_count, config.eigen_count + 6, config.eigen_count + 14):
         window = solve_window(u0, target, count, spin, exps, seed=config.seed)
         lams = window.eigenvalues
@@ -391,10 +372,7 @@ def prepare_initial_state(u0: ScalarField, target: float, exps: ExponentTable,
         raise NoSimpleEigenvalue(
             f"cluster at {lam_near:.6f} is {report.kind} "
             f"(size {report.cluster_size}, gap {report.exterior_gap:.3e})")
-    group = window.cluster_containing(lam_near)
-    lam = float(window.eigenvalues[group].mean())
-    pair = renormalize(u0, EigenPair(lam, window.pairs[group[0]].psi), exps)
-    state = FlowState(0.0, u0, pair, report.exterior_gap)
+    state = FlowState(0.0, u0, tracked_pair(window, lam_near), report.exterior_gap)
     return state.with_diagnostics(exps)
 
 
@@ -518,17 +496,5 @@ def flow_rhs_at(v: ScalarField, lam_ref: float, exps: ExponentTable,
     Well defined as a function of v alone: within a quaternionic-simple
     cluster the pointwise norm |psi_v|^2 is gauge independent.
     """
-    from .pencil import dense_oracle
-
-    spin = spin or SpinStructure()
-    if v.grid.n <= 6:
-        dense = dense_oracle(v, spin, exps)
-        sel = dense.nearest_indices(lam_ref, 2)
-        lam = float(dense.eigenvalues[sel].mean())
-        pair = renormalize(v, EigenPair(lam, dense.pair(int(sel[0])).psi), exps)
-    else:
-        window = solve_window(v, lam_ref, 2, spin, exps)
-        group = window.cluster_containing(lam_ref)
-        lam = float(window.eigenvalues[group].mean())
-        pair = renormalize(v, EigenPair(lam, window.pairs[group[0]].psi), exps)
+    pair = tracked_pair(spectrum_near(v, lam_ref, 2, spin, exps), lam_ref)
     return rhs_u(v, pair, exps)

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import qr as pivoted_qr
 
+from .dirac import _apply_symbol, apply_dirac, j_values
 from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor, WindowTooNarrow
 from .fields import (
     ExponentTable,
     ScalarField,
     SpinorField,
     SpinStructure,
+    _integer_modes,
     grid_fft,
     grid_ifft,
     require_positive,
@@ -55,11 +57,9 @@ class Pencil:
 
     def _dirac_raw(self, values: np.ndarray) -> np.ndarray:
         """sigma.kappa in Fourier space; values has shape (..., n, n, n, 2)."""
-        k1, k2, k3 = self._kappa
         hat = grid_fft(values, axes=SPINOR_GRID_AXES)
         out = np.empty_like(hat)
-        out[..., 0] = k3 * hat[..., 0] + (k1 - 1j * k2) * hat[..., 1]
-        out[..., 1] = (k1 + 1j * k2) * hat[..., 0] - k3 * hat[..., 1]
+        out[..., 0], out[..., 1] = _apply_symbol(*self._kappa, hat[..., 0], hat[..., 1])
         return grid_ifft(out, axes=SPINOR_GRID_AXES)
 
     def _c_raw(self, values: np.ndarray) -> np.ndarray:
@@ -273,8 +273,6 @@ class EigenPair:
     psi: SpinorField
 
     def constraint_residual(self, u: ScalarField, exps: ExponentTable) -> float:
-        from .dirac import apply_dirac
-
         d = apply_dirac(self.psi).values
         w = u.values ** exps.p1
         resid = d - self.lam * w[..., None] * self.psi.values
@@ -415,8 +413,6 @@ def _fix_gauge(x: np.ndarray) -> np.ndarray:
 def _flat_guess(pencil: Pencil, sigma: float, count: int) -> np.ndarray:
     """Plane-wave symbol eigenvectors nearest sigma (after mean-weight scaling):
     a cheap analytic warm start for cold window solves."""
-    from .fields import _integer_modes
-
     grid = pencil.grid
     wbar = float(np.mean(pencil.weight))
     k1, k2, k3 = pencil._kappa
@@ -514,9 +510,30 @@ def solve_window(u: ScalarField, target: float, count: int,
             Y, solve_ok = solve_to(Y, rel_target)
             if solve_ok:
                 Y, solve_ok = solve_to(Y, rel_target)
-        if not solve_ok:
-            # resonant shift (sigma on or next to an eigenvalue): nudge hard
-            # enough that the shifted systems become Krylov-tractable
+        if solve_ok:
+            # Augmenting the trial space with the previous block (Rayleigh-Ritz
+            # over span[Y, X]) roughly squares the per-sweep convergence factor,
+            # but near convergence Y is almost parallel to X and the stacked QR
+            # extracts new directions from cancelling differences, flooring the
+            # attainable residual at roundoff * |(C-sigma)^2|.  Run plain sweeps
+            # (Y plus only the locked columns) once the subspace is close.
+            locked_cols = [j for j in range(X.shape[1]) if col_resid[j] <= lock_tol]
+            pieces = []
+            if active:
+                pieces.append(Y)
+            if last_resid > 1e-4:
+                pieces.append(X)
+            elif locked_cols:
+                pieces.append(X[:, locked_cols])
+            stacked = np.hstack(pieces) if pieces else X
+            basis, R, _ = pivoted_qr(stacked, mode="economic", pivoting=True)
+            rdiag = np.abs(np.diag(R))
+            Q = basis[:, rdiag > 1e-10 * rdiag[0]]
+        if not solve_ok or Q.shape[1] < count:
+            # resonant shift (sigma on or next to an eigenvalue): the inner
+            # solves fail, or (C - sigma)^{-2} amplifies the resonant direction
+            # by about |lambda - sigma|^{-2} and the block loses rank.  Nudge
+            # hard enough that the shifted systems become Krylov-tractable
             if shifts_tried >= 2:
                 raise ConvergenceFailure(
                     f"inner shift solves failed at sigma={sigma}", iterations=outer)
@@ -524,26 +541,6 @@ def solve_window(u: ScalarField, target: float, count: int,
             sigma += 2e-3 * (1.0 + abs(sigma)) * (1 if shifts_tried == 1 else -2)
             prec = ShiftedDiagonalPreconditioner(pencil, sigma)
             continue
-
-        # Augmenting the trial space with the previous block (Rayleigh-Ritz
-        # over span[Y, X]) roughly squares the per-sweep convergence factor,
-        # but near convergence Y is almost parallel to X and the stacked QR
-        # extracts new directions from cancelling differences, flooring the
-        # attainable residual at roundoff * |(C-sigma)^2|.  Run plain sweeps
-        # (Y plus only the locked columns) once the subspace is close.
-        locked_cols = [j for j in range(X.shape[1]) if col_resid[j] <= lock_tol]
-        pieces = []
-        if active:
-            pieces.append(Y)
-        if last_resid > 1e-4:
-            pieces.append(X)
-        elif locked_cols:
-            pieces.append(X[:, locked_cols])
-        stacked = np.hstack(pieces) if pieces else X
-        basis, R, _ = pivoted_qr(stacked, mode="economic", pivoting=True)
-        rdiag = np.abs(np.diag(R))
-        keep = rdiag > 1e-10 * rdiag[0]
-        Q = basis[:, keep]
         FQ = shifted(shifted(Q))
         Hf = Q.conj().T @ FQ
         Hf = 0.5 * (Hf + Hf.conj().T)
@@ -583,6 +580,33 @@ def solve_window(u: ScalarField, target: float, count: int,
                              iterations=max_outer, residual=last_resid)
 
 
+def kramers_deflation(pencil: Pencil, chi: np.ndarray):
+    """Orthogonal projector Q off span{chi, J chi} on packed vectors; J chi is
+    orthogonal to chi for every chi, so Q is two rank-one projections in turn."""
+    chi = chi / np.linalg.norm(chi)
+    jchi = pencil.pack(j_values(pencil.grid, pencil.spin, pencil.unpack(chi)))
+    jchi = jchi / np.linalg.norm(jchi)
+
+    def deflate(z: np.ndarray) -> np.ndarray:
+        z = z - chi * np.vdot(chi, z)
+        return z - jchi * np.vdot(jchi, z)
+
+    return deflate
+
+
+def deflated_solve(pencil: Pencil, deflate, lam: float, b: np.ndarray,
+                   rtol: float, maxiter: int):
+    """Preconditioned MINRES on the correction equation Q (C - lam) Q y = b, with
+    Q a `kramers_deflation` projector; returns (Q y, info of `minres_hermitian`)."""
+    def op(z):
+        w = deflate(z)
+        return deflate(pencil.apply(w) - lam * w)
+
+    prec = ShiftedDiagonalPreconditioner(pencil, lam)
+    y, info = minres_hermitian(op, b, precond=prec, rtol=rtol, maxiter=maxiter)
+    return deflate(y), info
+
+
 def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
                 tol: float = 1e-9, max_steps: int = 6) -> EigenPair:
     """Newton-style correction refreshing one tracked quaternionic pair.
@@ -593,8 +617,6 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
     Rayleigh shift are unreliable with Krylov inner solves).  Quadratically
     convergent; the caller is responsible for the cluster staying simple.
     """
-    from .dirac import j_values
-
     pencil = Pencil(u, pair.psi.spin, exps)
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
 
@@ -609,29 +631,28 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
             best = (resid, chi, lam)
         if resid <= eff_tol:
             break
-
-        jchi = pencil.pack(j_values(u.grid, pair.psi.spin, pencil.unpack(chi)))
-        jchi = jchi / np.linalg.norm(jchi)
-
-        def deflate(z, _c=chi, _j=jchi):
-            z = z - _c * np.vdot(_c, z)
-            return z - _j * np.vdot(_j, z)
-
-        def op(z, _lam=lam, _d=deflate):
-            w = _d(z)
-            return _d(pencil.apply(w) - _lam * w)
-
-        prec = ShiftedDiagonalPreconditioner(pencil, lam)
+        deflate = kramers_deflation(pencil, chi)
         b = -deflate(resid_vec)
-        t, _info = minres_hermitian(op, b, precond=prec,
-                                    rtol=0.05 * eff_tol / np.linalg.norm(b), maxiter=400)
-        chi_new = chi + deflate(t)
+        t, _info = deflated_solve(pencil, deflate, lam, b,
+                                  0.05 * eff_tol / np.linalg.norm(b), 400)
+        chi_new = chi + t
         chi = chi_new / np.linalg.norm(chi_new)
         lam = float(np.vdot(chi, pencil.apply(chi)).real)
     resid, chi, lam = best
     if resid > eff_tol:
         raise ConvergenceFailure("pair refinement stalled", residual=resid)
     return EigenPair(lam, pencil.to_spinor(chi))
+
+
+def spectrum_near(u: ScalarField, center: float, count: int,
+                  spin: SpinStructure | None = None,
+                  exps: ExponentTable | None = None) -> SpectrumWindow:
+    """The `count` eigenpairs nearest `center`: from the dense oracle on grids
+    it covers (n <= DENSE_GRID_LIMIT), from the matrix-free window solver on
+    larger ones."""
+    if u.grid.n <= DENSE_GRID_LIMIT:
+        return dense_oracle(u, spin, exps).window(center, count)
+    return solve_window(u, center, count, spin, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +681,7 @@ def splitting_probe(u: ScalarField, lam: float, v: ScalarField, eps_list,
     eps_arr = np.asarray(list(eps_list), dtype=float)
 
     def eigenvalues_at(w: ScalarField, center: float, k: int) -> np.ndarray:
-        if w.grid.n <= DENSE_GRID_LIMIT:
-            dense = dense_oracle(w, spin, exps)
-            sel = dense.nearest_indices(center, k)
-            return np.sort(dense.eigenvalues[sel])
-        win = solve_window(w, center, k, spin, exps)
-        return win.eigenvalues
+        return spectrum_near(w, center, k, spin, exps).eigenvalues
 
     if cluster_size is None:
         base = eigenvalues_at(u, lam, min(16, 2 * u.grid.num_points))

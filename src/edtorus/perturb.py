@@ -23,6 +23,7 @@ from .fields import (
     ExponentTable,
     ScalarField,
     SpinorField,
+    SpinStructure,
     integrate_values,
     scalar_field,
     weighted_spinor_inner,
@@ -32,9 +33,10 @@ from .pencil import (
     DEFAULT_GAP_TOL,
     EigenPair,
     Pencil,
-    ShiftedDiagonalPreconditioner,
+    SpectrumWindow,
+    deflated_solve,
     dense_oracle,
-    minres_hermitian,
+    kramers_deflation,
 )
 
 
@@ -70,37 +72,21 @@ def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
     if gap is not None and gap < (gap_tol if gap_tol is not None else default_gap_tol(lam)):
         raise SmallGap(f"resolvent gap {gap:.3e} below tolerance")
     pencil = Pencil(u, pair.psi.spin, exps)
-    h3 = u.grid.cell_volume
-
-    chi1 = pencil.from_spinor(pair.psi)
-    chi1 = chi1 / np.sqrt(h3 * np.sum(np.abs(chi1) ** 2))
-    chi2 = pencil.from_spinor(quaternionic_j(pair.psi))
-    chi2 = chi2 / np.sqrt(h3 * np.sum(np.abs(chi2) ** 2))
-
-    def deflate(z):
-        z = z - chi1 * (h3 * np.vdot(chi1, z))
-        return z - chi2 * (h3 * np.vdot(chi2, z))
-
-    def op(z):
-        w = deflate(z)
-        return deflate(pencil.apply(w) - lam * w)
-
-    b = deflate(pencil.from_spinor(r))
-    r_norm = np.sqrt(h3 * np.sum(np.abs(pencil.from_spinor(r)) ** 2))
-    if r_norm == 0.0 or np.sqrt(h3 * np.sum(np.abs(b) ** 2)) <= 1e-15 * max(r_norm, 1.0):
+    deflate = kramers_deflation(pencil, pencil.from_spinor(pair.psi))
+    rhs = pencil.from_spinor(r)
+    b = deflate(rhs)
+    # zero test in the quadrature norm sqrt(h^3) |.|: r = 0 or r in span{psi, J psi}
+    scale = float(np.linalg.norm(rhs))
+    if scale == 0.0 or np.linalg.norm(b) <= 1e-15 * max(scale, u.grid.cell_volume ** -0.5):
         return SpinorField(u.grid, pair.psi.spin, np.zeros_like(r.values))
 
-    prec = ShiftedDiagonalPreconditioner(pencil, lam)
-    scale = float(np.linalg.norm(pencil.from_spinor(r)))
-    y, _info = minres_hermitian(op, b, precond=prec,
-                                rtol=0.05 * tol * scale / np.linalg.norm(b), maxiter=1200)
-    y = deflate(y)
-    res = b - op(y)
+    y, _info = deflated_solve(pencil, deflate, lam, b,
+                              0.05 * tol * scale / np.linalg.norm(b), 1200)
 
     # the deflated-system residual is what the solve controls; for a pair
     # satisfying its constraint residual it equals the raw round-trip defect
     # up to (pair residual) * |y| / |r|, so exact pairs meet the raw contract
-    resid = float(np.linalg.norm(res))
+    resid = float(np.linalg.norm(b - deflate(pencil.apply(y) - lam * y)))
     if resid > 0.5 * tol * max(scale, 1e-300):
         raise ConvergenceFailure("projected resolvent residual above contract",
                                  residual=float(resid / max(scale, 1e-300)))
@@ -156,6 +142,28 @@ def renormalize(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> EigenPa
     return EigenPair(pair.lam, SpinorField(pair.psi.grid, pair.psi.spin, pair.psi.values / n))
 
 
+def tracked_pair(window: SpectrumWindow, lam_ref: float) -> EigenPair:
+    """The tracked Kramers pair of a window: the cluster nearest lam_ref, its
+    mean eigenvalue and its first member, normalized in the u-weighted inner
+    product."""
+    group = window.cluster_containing(lam_ref)
+    lam = float(window.eigenvalues[group].mean())
+    return renormalize(window.u, EigenPair(lam, window.pairs[group[0]].psi), window.exps)
+
+
+def rk4_step(rate, t: float, dt: float, y: tuple) -> tuple:
+    """One classical RK4 step of y' = rate(t, y) for a tuple of state parts."""
+    def stage(k, c):
+        return tuple(yi + c * dt * ki for yi, ki in zip(y, k))
+
+    k1 = rate(t, y)
+    k2 = rate(t + 0.5 * dt, stage(k1, 0.5))
+    k3 = rate(t + 0.5 * dt, stage(k2, 0.5))
+    k4 = rate(t + dt, stage(k3, 1.0))
+    return tuple(yi + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
 def eigenpath_step(u_of, udot_of, t: float, dt: float, pair: EigenPair,
                    exps: ExponentTable, resolvent_tol: float = 1e-11,
                    gap: float | None = None, gap_tol: float | None = None) -> EigenPair:
@@ -167,23 +175,16 @@ def eigenpath_step(u_of, udot_of, t: float, dt: float, pair: EigenPair,
     """
     grid, spin = pair.psi.grid, pair.psi.spin
 
-    def rate(tt: float, lam: float, psi_values: np.ndarray):
+    def rate(tt: float, y: tuple) -> tuple:
         u = u_of(tt)
         ud = udot_of(tt)
-        pr = EigenPair(lam, SpinorField(grid, spin, psi_values))
+        pr = EigenPair(y[0], SpinorField(grid, spin, y[1]))
         ld = lambda_dot(u, ud, pr, exps)
         pd = psi_dot(u, ud, pr, ld, exps, tol=resolvent_tol * 100,
                      gap=gap, gap_tol=gap_tol)
         return ld, pd.values
 
-    lam0, psi0 = pair.lam, pair.psi.values
-    k1l, k1p = rate(t, lam0, psi0)
-    k2l, k2p = rate(t + 0.5 * dt, lam0 + 0.5 * dt * k1l, psi0 + 0.5 * dt * k1p)
-    k3l, k3p = rate(t + 0.5 * dt, lam0 + 0.5 * dt * k2l, psi0 + 0.5 * dt * k2p)
-    k4l, k4p = rate(t + dt, lam0 + dt * k3l, psi0 + dt * k3p)
-    lam1 = lam0 + dt / 6.0 * (k1l + 2 * k2l + 2 * k3l + k4l)
-    psi1 = psi0 + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-
+    lam1, psi1 = rk4_step(rate, t, dt, (pair.lam, pair.psi.values))
     u1 = u_of(t + dt)
     stepped = SpinorField(grid, spin, psi1)
     aligned = quaternion_align(stepped, pair.psi, u1, exps)
@@ -241,19 +242,13 @@ def _fit_slope(steps, errors) -> float:
 
 def _tracked_cluster_pair(u: ScalarField, lam_ref: float, spin, exps) -> EigenPair:
     """Weighted-normalized representative of the Kramers pair nearest lam_ref."""
-    dense = dense_oracle(u, spin, exps)
-    sel = dense.nearest_indices(lam_ref, 2)
-    lam = float(dense.eigenvalues[sel].mean())
-    pair = dense.pair(int(sel[0]))
-    return EigenPair(lam, pair.psi)
+    return tracked_pair(dense_oracle(u, spin, exps).window(lam_ref, 2), lam_ref)
 
 
 def lambda_dot_fd_study(u: ScalarField, udot: ScalarField, lam_ref: float,
                         exps: ExponentTable, spin=None,
                         steps=(1e-2, 5e-3, 2.5e-3)) -> FDReport:
     """Centered-difference check of the eigenvalue rate on the dense path."""
-    from .fields import SpinStructure
-
     spin = spin or SpinStructure()
     base = _tracked_cluster_pair(u, lam_ref, spin, exps)
     formula = lambda_dot(u, udot, base, exps)
@@ -283,8 +278,6 @@ def psi_dot_fd_study(u: ScalarField, udot: ScalarField, lam_ref: float,
                      exps: ExponentTable, spin=None,
                      steps=(1e-2, 5e-3, 2.5e-3)) -> FDReport:
     """Gauge-aligned centered-difference check of the eigenspinor rate."""
-    from .fields import SpinStructure
-
     spin = spin or SpinStructure()
     base = _tracked_cluster_pair(u, lam_ref, spin, exps)
     ld = lambda_dot(u, udot, base, exps)

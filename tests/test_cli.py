@@ -111,6 +111,25 @@ class TestInitialData:
         with pytest.raises(ValidationError):
             build_initial(cfg, build_grid(cfg))
 
+    @pytest.mark.parametrize("defect", ["missing", "truncated", "nonfinite"])
+    def test_bad_snapshot_is_config_error(self, tmp_path, defect):
+        from edtorus.fields import TorusGrid, constant_field, write_snapshot
+
+        grid = TorusGrid(6)
+        path = tmp_path / "u0.edf"
+        if defect != "missing":
+            write_snapshot(path, constant_field(grid, 1.0))
+            raw = path.read_bytes()
+            if defect == "truncated":
+                raw = raw[:10]
+            else:
+                raw = raw[:16] + np.full(grid.num_points, np.nan, "<f8").tobytes()
+            path.write_bytes(raw)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"grid.n = 6\ninitial.kind = file\ninitial.terms = {path}\n"
+                       f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG
+
 
 class TestSpectrumCommand:
     def test_flat_cluster_reported(self, tmp_path):

@@ -214,3 +214,10 @@ class TestSnapshotFormat:
         kind = int.from_bytes(raw[8:12], "little")
         assert (n, kind) == (grid8.n, 0)
         assert len(raw) == 16 + 8 * grid8.num_points
+
+    def test_truncated_header_rejected(self, tmp_path, grid8):
+        path = tmp_path / "short.edf"
+        write_snapshot(path, constant_field(grid8, 1.0))
+        path.write_bytes(path.read_bytes()[:10])
+        with pytest.raises(ValueError):
+            read_snapshot(path)

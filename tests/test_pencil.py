@@ -20,6 +20,7 @@ from edtorus.pencil import (
     rigidity_probe,
     simplicity_gap,
     solve_window,
+    spectrum_near,
     splitting_probe,
 )
 
@@ -133,6 +134,15 @@ class TestSolveWindow:
                           for b in win.pairs] for a in win.pairs])
         assert np.abs(gram - np.eye(6)).max() <= 1e-8
 
+    def test_near_resonant_shift(self, grid6):
+        # (C - sigma)^{-2} amplifies the pair 1e-9 from sigma by about 1e18,
+        # so the first sweep's block collapses to that pair's two columns
+        u = generic_u(grid6)
+        dense = dense_oracle(u)
+        target = dense.window(0.87, 2).eigenvalues[0] + 1e-9
+        win = solve_window(u, target, 12)
+        assert np.abs(win.eigenvalues - dense.window(target, 12).eigenvalues).max() <= 1e-10
+
     def test_rejects_nonpositive_u(self, grid6):
         with pytest.raises(NonPositiveConformalFactor):
             solve_window(constant_field(grid6, -1.0), 0.5, 2)
@@ -140,6 +150,21 @@ class TestSolveWindow:
     def test_count_budget(self, grid6):
         with pytest.raises(ValueError):
             solve_window(constant_field(grid6, 1.0), 0.5, 10 ** 6)
+
+
+class TestSpectrumNear:
+    def test_dense_on_small_grids(self, grid6, spin, exps):
+        u = generic_u(grid6)
+        dense = dense_oracle(u, spin, exps)
+        sel = dense.nearest_indices(0.87, 6)
+        win = spectrum_near(u, 0.87, 6, spin, exps)
+        assert np.array_equal(win.eigenvalues, np.sort(dense.eigenvalues[sel]))
+
+    def test_matrix_free_above_dense_limit(self, grid8, spin, exps):
+        u = generic_u(grid8)
+        win = spectrum_near(u, 0.87, 2, spin, exps)
+        assert abs(win.eigenvalues[1] - win.eigenvalues[0]) <= 1e-10
+        assert max(p.constraint_residual(u, exps) for p in win.pairs) <= 1e-9
 
 
 class TestSimplicity:

@@ -22,6 +22,8 @@ from edtorus.perturb import (
     psi_dot,
     psi_dot_fd_study,
     quaternion_align,
+    rk4_step,
+    tracked_pair,
 )
 
 LAM_REF = 0.88
@@ -46,6 +48,29 @@ def tracked(exps, spin):
     sel = dense.nearest_indices(LAM_REF, 2)
     lam = float(dense.eigenvalues[sel].mean())
     return grid, u, EigenPair(lam, dense.pair(int(sel[0])).psi)
+
+
+class TestTrackedPair:
+    def test_matches_nearest_pair_selection(self, tracked, exps, spin):
+        grid, u, ref = tracked
+        got = tracked_pair(dense_oracle(u, spin, exps).window(LAM_REF, 2), LAM_REF)
+        assert got.lam == ref.lam
+        assert np.abs(got.psi.values - ref.psi.values).max() <= 1e-14
+        assert got.normalization_error(u, exps) <= 1e-14
+
+
+class TestRk4Step:
+    def test_exact_for_cubic_rate_and_linear_growth(self):
+        # y0' = 3 t^2 is integrated exactly; y1' = y1 gains the degree-4
+        # Taylor polynomial of exp(dt)
+        def rate(t, y):
+            return 3.0 * t ** 2, y[1]
+
+        t, dt = 0.5, 0.25
+        y0, y1 = rk4_step(rate, t, dt, (1.0, np.array([1.0, -2.0])))
+        assert y0 == pytest.approx(1.0 + (t + dt) ** 3 - t ** 3, abs=1e-15)
+        growth = 1 + dt + dt ** 2 / 2 + dt ** 3 / 6 + dt ** 4 / 24
+        assert np.abs(y1 - growth * np.array([1.0, -2.0])).max() <= 1e-15
 
 
 class TestLambdaDot:
