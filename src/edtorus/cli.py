@@ -356,20 +356,21 @@ def cmd_flow(cfg: RunConfig) -> int:
     try:
         traj = flow_run(u0, cfg.get_float("eigen.target"), fc, exps, spin,
                         snapshot_hook=hook if stride else None)
-    except NoSimpleEigenvalue as exc:
+    except (NoSimpleEigenvalue, PositivityLoss, NonPositiveConformalFactor,
+            ConvergenceFailure) as exc:
+        failed = isinstance(exc, ConvergenceFailure)
         write_json(out / "summary.json", {
             "config": cfg.values,
-            "rejected": f"NoSimpleEigenvalue: {exc}",
+            "failed" if failed else "rejected": f"{type(exc).__name__}: {exc}",
+            "iterations": getattr(exc, "iterations", None),
+            "residual": getattr(exc, "residual", None),
             "formulas": FORMULA_VERSIONS,
         })
+        if failed:
+            print(f"flow: convergence failure: {exc}", file=sys.stderr)
+            return EXIT_CONVERGENCE
         print(f"flow: rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (PositivityLoss, NonPositiveConformalFactor) as exc:
-        print(f"flow: rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    except ConvergenceFailure as exc:
-        print(f"flow: convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
 
     write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, traj.rows)
     vols = traj.column("volume")

@@ -24,7 +24,7 @@ from .conformal import (
     laplacian,
     scal_conformal,
 )
-from .dirac import apply_dirac, quaternionic_j
+from .dirac import apply_dirac
 from .errors import (
     ConvergenceFailure,
     EdtorusError,
@@ -57,7 +57,6 @@ from .parabolic import (
 from .pencil import (
     DEFAULT_GAP_TOL,
     EigenPair,
-    Pencil,
     refine_pair,
     simplicity_gap,
     solve_window,
@@ -286,16 +285,8 @@ def project_state(state: FlowState, exps: ExponentTable, config: FlowConfig,
     if not full:
         fresh, gap = refine_pair(u, pair, exps, tol=solver_tol), state.gap
     else:
-        pencil = Pencil(u, pair.psi.spin, exps)
-        warm = np.column_stack([
-            pencil.from_spinor(pair.psi),
-            pencil.from_spinor(quaternionic_j(pair.psi)),
-        ])
-        # shift the window center off the tracked eigenvalue: sigma exactly on an
-        # eigenvalue makes the inner shifted solves singular
-        sigma = pair.lam + 0.25 * max(state.gap, DEFAULT_GAP_TOL * (1.0 + abs(pair.lam)))
-        window = solve_window(u, sigma, config.eigen_count, pair.psi.spin, exps,
-                              tol=solver_tol, warm_start=warm, seed=config.seed)
+        window = solve_window(u, pair.lam, config.eigen_count, pair.psi.spin, exps,
+                              tol=solver_tol, seed=config.seed)
         report = simplicity_gap(window, pair.lam,
                                 gap_tol=config.gap_tol * (1.0 + abs(pair.lam)))
         if report.kind != "quaternionic_simple":

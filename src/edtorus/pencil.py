@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr as pivoted_qr
 
 from .dirac import _apply_symbol, apply_dirac, j_values
 from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor, WindowTooNarrow
@@ -228,37 +227,31 @@ def minres_hermitian(apply_c, b: np.ndarray, precond=None, rtol: float = 1e-11,
 
 
 class ShiftedDiagonalPreconditioner:
-    """Positive-definite Fourier-diagonal approximation of |C - sigma|^{-1}.
+    """Hermitian positive-definite approximation of |C|^{-1}, independent of
+    any shift.
 
-    Built from the mean of u: the symbol of C is approximately
-    wbar^{-1} sigma.kappa, so per mode the eigenvalues of C - sigma are
-    e_pm = wbar^{-1} (+-|kappa|) - sigma.  The inverse absolute values are
-    floored to keep the preconditioner bounded near resonant modes.
+    C^{-1} = B^{1/2} D^{-1} B^{1/2} with B diagonal in physical space and D
+    diagonal in Fourier space, so M = B^{1/2} |D|^{-1} B^{1/2} is as cheap as
+    one FFT pair: |D| is |kappa| on each Fourier mode, floored at the smallest
+    nonzero |kappa| to keep the harmonic mode of shift (0, 0, 0) bounded.  For
+    constant u, M is exactly |C|^{-1} off the harmonic modes.  MINRES on
+    C - lambda uses M; the folded window solver on (C - sigma)^2 uses M^2.
+
+    The class keeps its name from the shifted form it replaced because the
+    benchmark's tracing (perfbench/spans.py) wraps `__call__` by that name.
     """
 
-    def __init__(self, pencil: Pencil, sigma: float, floor_rel: float = 1e-2):
-        wbar = float(np.mean(pencil.weight))
-        k1, k2, k3 = pencil._kappa
-        kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
-        floor = floor_rel * (1.0 + abs(sigma))
-        d_plus = 1.0 / np.maximum(np.abs(kn / wbar - sigma), floor)
-        d_minus = 1.0 / np.maximum(np.abs(-kn / wbar - sigma), floor)
-        self.diag = 0.5 * (d_plus + d_minus)
-        half_diff = 0.5 * (d_plus - d_minus)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(kn > 0, half_diff / np.where(kn > 0, kn, 1.0), 0.0)
-        self.bk = (unit * k1, unit * k2, unit * k3)
+    def __init__(self, pencil: Pencil):
+        kn = np.sqrt(sum(k ** 2 for k in pencil._kappa))
+        self.inv_kappa = (1.0 / np.maximum(kn, kn[kn > 0].min()))[..., None]
         self.pencil = pencil
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Apply to a packed vector or to every column of a block."""
         p = self.pencil
-        hat = grid_fft(p.unpack(x), axes=SPINOR_GRID_AXES)
-        b1, b2, b3 = self.bk
-        out = np.empty_like(hat)
-        out[..., 0] = self.diag * hat[..., 0] + b3 * hat[..., 0] + (b1 - 1j * b2) * hat[..., 1]
-        out[..., 1] = self.diag * hat[..., 1] + (b1 + 1j * b2) * hat[..., 0] - b3 * hat[..., 1]
-        return p.pack(grid_ifft(out, axes=SPINOR_GRID_AXES))
+        b_half = p.b_half[..., None]
+        hat = grid_fft(p.unpack(x) * b_half, axes=SPINOR_GRID_AXES)
+        return p.pack(grid_ifft(hat * self.inv_kappa, axes=SPINOR_GRID_AXES) * b_half)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +315,7 @@ class SpectrumWindow:
 
 @dataclass
 class SimplicityReport:
-    kind: str  # quaternionic_simple | multiple | indeterminate
+    kind: str  # quaternionic_simple | unpaired_simple | multiple | indeterminate
     cluster_size: int
     cluster_width: float
     exterior_gap: float
@@ -331,7 +324,12 @@ class SimplicityReport:
 
 def simplicity_gap(window: SpectrumWindow, lam: float,
                    gap_tol: float = DEFAULT_GAP_TOL) -> SimplicityReport:
-    """Classify the cluster at lam: at m = 3 'simple' means complex dimension 2."""
+    """Classify the cluster at lam: at m = 3 'simple' means complex dimension 2.
+
+    A one-member cluster is 'unpaired_simple' (no Kramers partner, which the
+    discrete pencil allows for the spin structures whose Nyquist modes break
+    DJ = JD); three or more members are 'multiple'.
+    """
     group = window.cluster_containing(lam)
     lams = window.eigenvalues
     inside = lams[group]
@@ -346,6 +344,8 @@ def simplicity_gap(window: SpectrumWindow, lam: float,
         kind = "indeterminate"
     elif len(group) == 2:
         kind = "quaternionic_simple" if certified else "indeterminate"
+    elif len(group) == 1:
+        kind = "unpaired_simple"
     else:
         kind = "multiple"
     return SimplicityReport(kind, len(group), width, gap, certified)
@@ -398,8 +398,8 @@ def dense_oracle(u: ScalarField, spin: SpinStructure | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free window solver: shift-invert block subspace iteration with
-# Rayleigh-Ritz extraction on the true operator.
+# Matrix-free window solver: LOBPCG on the folded operator (C - sigma)^2 with
+# a signed Rayleigh-Ritz extraction on C itself.
 # ---------------------------------------------------------------------------
 
 def _fix_gauge(x: np.ndarray) -> np.ndarray:
@@ -442,22 +442,47 @@ def _flat_guess(pencil: Pencil, sigma: float, count: int) -> np.ndarray:
     return cols
 
 
+def _complement_basis(X: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the part of span(S) orthogonal to span(X), X
+    orthonormal.  Two passes of projection and orthonormalization through the
+    eigendecomposition of the Gram matrix of the column-scaled block (SVQB);
+    columns the projection cancels to roundoff and directions below 1e-7 of
+    the largest singular value are dropped."""
+    for _ in range(2):
+        before = np.linalg.norm(S, axis=0)
+        S = S - X @ (X.conj().T @ S)
+        after = np.linalg.norm(S, axis=0)
+        keep = after > 1e-10 * before
+        if not keep.any():
+            return S[:, :0]
+        S = S[:, keep] / after[keep]
+        w, V = np.linalg.eigh(S.conj().T @ S)
+        big = w > 1e-14 * w[-1]
+        S = S @ (V[:, big] / np.sqrt(w[big]))
+    return S
+
+
 def solve_window(u: ScalarField, target: float, count: int,
                  spin: SpinStructure | None = None,
                  exps: ExponentTable | None = None,
-                 tol: float = 1e-9, max_outer: int = 80, seed: int = 7261,
-                 block_extra: int = 8,
-                 warm_start: np.ndarray | None = None) -> SpectrumWindow:
+                 tol: float = 1e-9, max_iter: int = 400,
+                 seed: int = 7261) -> SpectrumWindow:
     """Compute `count` eigenpairs of the pencil nearest `target`.
 
-    Folded shift-invert subspace iteration: each sweep applies (C - sigma)^{-2}
-    to the block (two preconditioned MINRES solves per column) and extracts
-    Ritz pairs of the folded operator, whose smallest eigenvalues are exactly
-    the squared distances to sigma.  Folding keeps partially-resolved far
-    clusters out of the window (their folded Rayleigh quotients cannot alias
-    into it), so degenerate near clusters converge cleanly.  Signed
-    eigenvalues are recovered by a final Rayleigh-Ritz of C on the converged
-    subspace, and only directly verified constraint residuals are accepted.
+    LOBPCG (Knyazev 2001) on the folded operator A = (C - sigma)^2, sigma =
+    target, preconditioned by M^2 with M the shift-free approximation of
+    |C|^{-1}.  A is positive semidefinite at every sigma and its smallest
+    eigenvalues are exactly the squared distances to sigma, so an eigenvalue
+    at sigma is a zero Ritz value and far clusters cannot alias into the
+    window.  The block holds count + 4 columns, started from plane waves plus
+    seeded noise; columns whose folded residual falls below the lock
+    threshold keep their place in the Rayleigh-Ritz basis but add no search
+    directions (soft locking).  The search directions [W, P] are
+    orthonormalized against X and each other and then multiplied by A afresh;
+    A P is never carried through that transform, whose conditioning degrades
+    as the residuals shrink.  Signed eigenvalues come from a
+    final Rayleigh-Ritz of C on the first `count` columns, accepted only on
+    directly verified residuals of C.
     """
     spin = spin or SpinStructure()
     exps = exps or ExponentTable(3)
@@ -465,119 +490,54 @@ def solve_window(u: ScalarField, target: float, count: int,
     if not 1 <= count <= pencil.dim - 2:
         raise ValueError(f"count must be within the dimension budget, got {count}")
 
+    sigma = float(target)
     rng = np.random.default_rng(seed)
-    block = min(count + block_extra, pencil.dim)
+    block = min(count + 4, pencil.dim)
     X = 1e-3 * (rng.standard_normal((pencil.dim, block))
                 + 1j * rng.standard_normal((pencil.dim, block)))
-    if warm_start is not None:
-        # seed the subspace with known approximate eigenvectors (continuation)
-        k = min(warm_start.shape[1], block)
-        X[:, :k] += warm_start[:, :k]
-    else:
-        # cold start: plane-wave symbol eigenvectors nearest the shift
-        X += _flat_guess(pencil, float(target), block)
-    X, _ = np.linalg.qr(X)
+    X, _ = np.linalg.qr(X + _flat_guess(pencil, sigma, block))
 
     # chi-residuals overestimate the psi-form constraint residual by at most
     # max(u^p1), so tighten the Ritz threshold accordingly
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
-
-    sigma = float(target)
-    shifts_tried = 0
-    prec = ShiftedDiagonalPreconditioner(pencil, sigma)
-
-    def shifted(Z):
-        return pencil.apply(Z) - sigma * Z
-
-    def solve_to(B, rel_target):
-        """Shifted block solve, each column to true relative residual rel_target."""
-        Y, info = minres_hermitian(shifted, B, precond=prec, rtol=rel_target)
-        return Y, info == 0
-
-    last_resid = np.inf
     lock_tol = max(0.02 * eff_tol, 1e-13)
-    col_resid = np.full(X.shape[1], np.inf)
-    stalls = 0
-    for outer in range(1, max_outer + 1):
-        # early sweeps only need solves slightly tighter than the current
-        # subspace accuracy; final sweeps go to the floor.  Columns whose
-        # folded residual already sits below the lock threshold skip their
-        # solves; their directions stay in the basis through X.
-        rel_target = float(np.clip(1e-2 * last_resid, 1e-12, 3e-5))
-        active = [j for j in range(X.shape[1]) if col_resid[j] > lock_tol]
-        Y, solve_ok = X[:, active], True
-        if active:
-            Y, solve_ok = solve_to(Y, rel_target)
-            if solve_ok:
-                Y, solve_ok = solve_to(Y, rel_target)
-        if solve_ok:
-            # Augmenting the trial space with the previous block (Rayleigh-Ritz
-            # over span[Y, X]) roughly squares the per-sweep convergence factor,
-            # but near convergence Y is almost parallel to X and the stacked QR
-            # extracts new directions from cancelling differences, flooring the
-            # attainable residual at roundoff * |(C-sigma)^2|.  Run plain sweeps
-            # (Y plus only the locked columns) once the subspace is close.
-            locked_cols = [j for j in range(X.shape[1]) if col_resid[j] <= lock_tol]
-            pieces = []
-            if active:
-                pieces.append(Y)
-            if last_resid > 1e-4:
-                pieces.append(X)
-            elif locked_cols:
-                pieces.append(X[:, locked_cols])
-            stacked = np.hstack(pieces) if pieces else X
-            basis, R, _ = pivoted_qr(stacked, mode="economic", pivoting=True)
-            rdiag = np.abs(np.diag(R))
-            Q = basis[:, rdiag > 1e-10 * rdiag[0]]
-        if not solve_ok or Q.shape[1] < count:
-            # resonant shift (sigma on or next to an eigenvalue): the inner
-            # solves fail, or (C - sigma)^{-2} amplifies the resonant direction
-            # by about |lambda - sigma|^{-2} and the block loses rank.  Nudge
-            # hard enough that the shifted systems become Krylov-tractable
-            if shifts_tried >= 2:
-                raise ConvergenceFailure(
-                    f"inner shift solves failed at sigma={sigma}", iterations=outer)
-            shifts_tried += 1
-            sigma += 2e-3 * (1.0 + abs(sigma)) * (1 if shifts_tried == 1 else -2)
-            prec = ShiftedDiagonalPreconditioner(pencil, sigma)
-            continue
-        FQ = shifted(shifted(Q))
-        Hf = Q.conj().T @ FQ
-        Hf = 0.5 * (Hf + Hf.conj().T)
-        mu, V = np.linalg.eigh(Hf)  # ascending squared distances to sigma
-        take = min(block, Q.shape[1])
-        X = Q @ V[:, :take]
-        FX = FQ @ V[:, :take]
-        col_resid = np.linalg.norm(FX - X * mu[:take], axis=0)
-        last_resid = float(col_resid[:count].max())
-        if last_resid > 50.0 * eff_tol:
-            continue
+    prec = ShiftedDiagonalPreconditioner(pencil)
 
-        # attempt signed recovery on the (near-)invariant subspace; accept
-        # only on directly verified residuals of C itself
-        S = X[:, :count]
-        CS = pencil.apply(S)
-        Hc = S.conj().T @ CS
-        Hc = 0.5 * (Hc + Hc.conj().T)
-        theta, W = np.linalg.eigh(Hc)
-        Z = S @ W
-        CZ = CS @ W
-        c_resid = np.linalg.norm(CZ - Z * theta, axis=0)
-        if float(c_resid.max()) <= eff_tol:
-            pairs = []
-            for i in range(count):
-                chi = _fix_gauge(Z[:, i])
-                pairs.append(EigenPair(float(theta[i]), pencil.to_spinor(chi)))
-            pairs.sort(key=lambda p: p.lam)
-            return SpectrumWindow(float(target), count, pairs, u, exps)
-        stalls += 1
-        if stalls >= 8 and not active:
-            raise ConvergenceFailure(
-                "folded subspace converged but signed extraction failed "
-                "(window may split a symmetric cluster)", residual=float(c_resid.max()))
+    def folded(Z):
+        Y = pencil.apply(Z) - sigma * Z
+        return pencil.apply(Y) - sigma * Y
+
+    AX = folded(X)
+    S = AS = np.zeros((pencil.dim, 0), dtype=np.complex128)
+    for it in range(1, max_iter + 1):
+        basis, a_basis = np.hstack([X, S]), np.hstack([AX, AS])
+        H = basis.conj().T @ a_basis
+        mu, V = np.linalg.eigh(0.5 * (H + H.conj().T))  # ascending squared distances
+        mu, V = mu[:block], V[:, :block]
+        X, AX, P = basis @ V, a_basis @ V, S @ V[block:]
+        R = AX - X * mu
+        resid = np.linalg.norm(R, axis=0)
+
+        if resid[:count].max() <= 50.0 * eff_tol:
+            Y = X[:, :count]
+            CY = pencil.apply(Y)
+            Hc = Y.conj().T @ CY
+            theta, Wc = np.linalg.eigh(0.5 * (Hc + Hc.conj().T))
+            Z = Y @ Wc
+            if np.linalg.norm(CY @ Wc - Z * theta, axis=0).max() <= eff_tol:
+                pairs = [EigenPair(float(theta[i]), pencil.to_spinor(_fix_gauge(Z[:, i])))
+                         for i in range(count)]
+                return SpectrumWindow(sigma, count, pairs, u, exps)
+
+        active = resid > lock_tol
+        if not active.any():
+            break
+        W = prec(prec(R[:, active]))
+        S = _complement_basis(X, np.hstack([W, P[:, active]]))
+        AS = folded(S)
 
     raise ConvergenceFailure("window iteration did not converge",
-                             iterations=max_outer, residual=last_resid)
+                             iterations=it, residual=float(resid[:count].max()))
 
 
 def kramers_deflation(pencil: Pencil, chi: np.ndarray):
@@ -602,7 +562,7 @@ def deflated_solve(pencil: Pencil, deflate, lam: float, b: np.ndarray,
         w = deflate(z)
         return deflate(pencil.apply(w) - lam * w)
 
-    prec = ShiftedDiagonalPreconditioner(pencil, lam)
+    prec = ShiftedDiagonalPreconditioner(pencil)
     y, info = minres_hermitian(op, b, precond=prec, rtol=rtol, maxiter=maxiter)
     return deflate(y), info
 

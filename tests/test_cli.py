@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import edtorus.cli
 import edtorus.flow
 from edtorus.cli import (
     EXIT_CONFIG,
@@ -249,6 +250,22 @@ class TestFlowCommand:
         assert summary["steps"] == 0
         assert summary["abort_reason"] == f"{type(error).__name__}: {error}"
 
+
+    def test_failure_before_first_step_writes_summary(self, tmp_path, monkeypatch):
+        # a ConvergenceFailure from the initial solve leaves no trajectory
+        # but still writes summary.json with its details
+        def failing_run(*_args, **_kwargs):
+            raise ConvergenceFailure("x", iterations=7, residual=1e-3)
+
+        monkeypatch.setattr(edtorus.cli, "flow_run", failing_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out"))
+        assert main(["flow", "--config", "f.cfg"]) == EXIT_CONVERGENCE
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["failed"] == "ConvergenceFailure: x"
+        assert summary["iterations"] == 7
+        assert summary["residual"] == 1e-3
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 class TestValidators:
     def test_covariance_check(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from edtorus.dirac import flat_spectrum_oracle, quaternionic_j
 from edtorus.errors import GridTooLarge, NonPositiveConformalFactor
 from edtorus.fields import (
     SpinorField,
+    SpinStructure,
     TorusGrid,
     constant_field,
     field_from_function,
@@ -25,6 +26,8 @@ from edtorus.pencil import (
 )
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
+
+SHIFTS = [(a, b, c) for a in (0.0, 0.5) for b in (0.0, 0.5) for c in (0.0, 0.5)]
 
 
 def generic_u(grid):
@@ -68,7 +71,7 @@ class TestMinres:
     @pytest.fixture
     def system(self, grid6, spin, exps, rng):
         pencil = Pencil(generic_u(grid6), spin, exps)
-        prec = ShiftedDiagonalPreconditioner(pencil, 0.87)
+        prec = ShiftedDiagonalPreconditioner(pencil)
 
         def shifted(z):
             return pencil.apply(z) - 0.87 * z
@@ -143,6 +146,20 @@ class TestSolveWindow:
         win = solve_window(u, target, 12)
         assert np.abs(win.eigenvalues - dense.window(target, 12).eigenvalues).max() <= 1e-10
 
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_shift_on_an_eigenvalue(self, grid6, exps, shift):
+        # sigma exactly on an eigenvalue is a zero eigenvalue of (C - sigma)^2,
+        # not a singular solve: the window is the one centred there
+        spin = SpinStructure(shift)
+        u = generic_u(grid6)
+        dense = dense_oracle(u, spin, exps)
+        sigma = float(dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - 0.87))])
+        dist = np.sort(np.abs(dense.eigenvalues - sigma))
+        if dist[12] - dist[11] <= 1e-6:
+            pytest.skip("12th and 13th distances tie: the window is not unique")
+        win = solve_window(u, sigma, 12, spin, exps)
+        assert np.abs(win.eigenvalues - dense.window(sigma, 12).eigenvalues).max() <= 1e-10
+
     def test_rejects_nonpositive_u(self, grid6):
         with pytest.raises(NonPositiveConformalFactor):
             solve_window(constant_field(grid6, -1.0), 0.5, 2)
@@ -191,6 +208,16 @@ class TestSimplicity:
         assert rep.cluster_size == 2
         assert rep.exterior_gap > 5e-3
         assert rep.gap_certified
+
+
+    def test_one_member_cluster_unpaired(self, grid6, exps):
+        # shift (0, 0, 0) breaks DJ = JD at the Nyquist modes, so the
+        # eigenvalue nearest 0.87 has no Kramers partner
+        u = generic_u(grid6)
+        win = dense_oracle(u, SpinStructure((0.0, 0.0, 0.0)), exps).window(0.87, 12)
+        rep = simplicity_gap(win, 0.87)
+        assert rep.cluster_size == 1
+        assert rep.kind == "unpaired_simple"
 
 
 class TestSplittingProbe:

@@ -1,7 +1,9 @@
 """Property tests over random grids, all 8 spin structures and random positive u.
 
-D and C = B^{-1/2} D B^{-1/2} are hermitian, J^2 = -1 and DJ = JD, and the
-Kramers deflation is a hermitian idempotent that annihilates chi and J chi.
+D and C = B^{-1/2} D B^{-1/2} are hermitian, J^2 = -1 and DJ = JD, the
+Kramers deflation is a hermitian idempotent that annihilates chi and J chi,
+and the preconditioner M is hermitian positive definite and equals |C|^{-1}
+for constant u.
 """
 
 import numpy as np
@@ -17,8 +19,9 @@ from edtorus.fields import (
     grid_fft,
     grid_ifft,
     scalar_field,
+    spinor_momentum,
 )
-from edtorus.pencil import Pencil, kramers_deflation
+from edtorus.pencil import Pencil, ShiftedDiagonalPreconditioner, kramers_deflation
 
 SPINS = [SpinStructure((a, b, c)) for a in (0.0, 0.5) for b in (0.0, 0.5) for c in (0.0, 0.5)]
 
@@ -114,3 +117,33 @@ def test_kramers_deflation_projector(case):
     assert np.linalg.norm(deflate(qy) - qy) <= 1e-14 * np.linalg.norm(y)
     for v in (chi, jchi):
         assert np.linalg.norm(deflate(v)) <= 1e-14 * np.linalg.norm(v)
+
+
+@given(CASES)
+@PROPERTY
+def test_preconditioner_hermitian_positive(case):
+    n, spin, seed = case
+    _grid, u, spinor = draw(n, spin, seed)
+    pencil = Pencil(u, spin, ExponentTable(3))
+    prec = ShiftedDiagonalPreconditioner(pencil)
+    x, y = (pencil.pack(spinor().values) for _ in range(2))
+    assert hermitian_defect(prec, x, y) <= 1e-13
+    block = np.column_stack([pencil.pack(spinor().values) for _ in range(4)])
+    assert np.all(np.einsum("ij,ij->j", block.conj(), prec(block)).real > 0)
+
+
+@given(CASES, st.floats(min_value=0.5, max_value=2.0))
+@PROPERTY
+def test_preconditioner_inverts_constant_pencil(case, c):
+    """For constant u, M C M C x = x on spinors without harmonic (kappa = 0)
+    modes, the kernel of C under shift (0, 0, 0)."""
+    n, spin, seed = case
+    grid, _u, spinor = draw(n, spin, seed)
+    pencil = Pencil(scalar_field(grid, np.full(grid.shape, c)), spin, ExponentTable(3))
+    prec = ShiftedDiagonalPreconditioner(pencil)
+    hat = grid_fft(spinor().values)
+    k1, k2, k3 = spinor_momentum(grid.n, grid.length, spin.shift)
+    hat[(k1 ** 2 + k2 ** 2 + k3 ** 2) == 0] = 0.0
+    x = pencil.pack(grid_ifft(hat))
+    mcmc = prec(pencil.apply(prec(pencil.apply(x))))
+    assert np.linalg.norm(mcmc - x) <= 1e-12 * np.linalg.norm(x)
