@@ -250,7 +250,6 @@ class TestFlowCommand:
         assert summary["steps"] == 0
         assert summary["abort_reason"] == f"{type(error).__name__}: {error}"
 
-
     def test_failure_before_first_step_writes_summary(self, tmp_path, monkeypatch):
         # a ConvergenceFailure from the initial solve leaves no trajectory
         # but still writes summary.json with its details
@@ -266,6 +265,7 @@ class TestFlowCommand:
         assert summary["iterations"] == 7
         assert summary["residual"] == 1e-3
         assert not (tmp_path / "out" / "trajectory.csv").exists()
+
 
 class TestValidators:
     def test_covariance_check(self, tmp_path, monkeypatch):

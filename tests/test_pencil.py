@@ -209,7 +209,6 @@ class TestSimplicity:
         assert rep.exterior_gap > 5e-3
         assert rep.gap_certified
 
-
     def test_one_member_cluster_unpaired(self, grid6, exps):
         # shift (0, 0, 0) breaks DJ = JD at the Nyquist modes, so the
         # eigenvalue nearest 0.87 has no Kramers partner
