@@ -382,6 +382,8 @@ def cmd_flow(cfg: RunConfig) -> int:
         "volume_drift": float(np.abs(vols - vols[0]).max() / vols[0]),
         "max_constraint_residual": float(traj.column("constraint_residual").max()),
         "abort_reason": traj.abort_reason,
+        "iterations": getattr(traj.abort_error, "iterations", None),
+        "residual": getattr(traj.abort_error, "residual", None),
         "formulas": FORMULA_VERSIONS,
     })
     print(f"flow: {len(traj.rows) - 1} steps to t={fmt(traj.rows[-1][0])} -> {out}")

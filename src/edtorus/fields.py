@@ -305,9 +305,11 @@ def weighted_spinor_inner(u: ScalarField, psi: SpinorField, phi: SpinorField,
 
 # ---------------------------------------------------------------------------
 # Field snapshot binary format "EDF1":
-#   magic "EDF1" | u32 n | u32 kind (0 scalar, 1 spinor) | u32 reserved |
+#   magic "EDF1" | u32 n | u32 kind (0 scalar, 1 spinor) | u32 spin |
 #   little-endian float64 payload in storage order; spinor payload is
-#   interleaved re/im, component-major within each grid point.
+#   interleaved re/im, component-major within each grid point.  A spinor's
+#   spin word is 1 + mask, bit i of the mask set when shift[i] = 1/2; 0 (and
+#   every scalar's word) means "not recorded".
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"EDF1"
@@ -315,24 +317,27 @@ _MAGIC = b"EDF1"
 
 def write_snapshot(path, f) -> None:
     if isinstance(f, ScalarField):
-        kind, payload = 0, np.ascontiguousarray(f.values, dtype="<f8")
+        kind, spin_word, payload = 0, 0, np.ascontiguousarray(f.values, dtype="<f8")
     elif isinstance(f, SpinorField):
-        kind = 1
+        kind, spin_word = 1, 1 + sum(1 << i for i, d in enumerate(f.spin.shift) if d)
         payload = np.ascontiguousarray(f.values).view(np.float64).astype("<f8", copy=False)
     else:
         raise TypeError(f"expected a field, got {type(f)!r}")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", f.grid.n, kind, 0))
+        fh.write(struct.pack("<III", f.grid.n, kind, spin_word))
         fh.write(payload.tobytes())
 
 
 def read_snapshot(path, length: float = TWO_PI, spin: SpinStructure | None = None):
+    """Read an EDF1 field.  A spinor takes its recorded spin structure, which
+    must equal `spin` when both are given; an unrecorded one takes `spin` (by
+    default the default structure)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC or len(data) < 16:
         raise ValueError(f"bad or truncated snapshot header {data[:16]!r}")
-    n, kind, _reserved = struct.unpack_from("<III", data, 4)
+    n, kind, spin_word = struct.unpack_from("<III", data, 4)
     raw = np.frombuffer(data, dtype="<f8", offset=16)
     grid = TorusGrid(n, length)
     if kind == 0:
@@ -343,5 +348,12 @@ def read_snapshot(path, length: float = TWO_PI, spin: SpinStructure | None = Non
         if raw.size != 4 * grid.num_points:
             raise ValueError("spinor snapshot payload has wrong size")
         cplx = raw.astype(np.float64).view(np.complex128).reshape(grid.shape + (2,))
+        if spin_word:
+            if spin_word > 8:
+                raise ValueError(f"bad spin record {spin_word} in spinor snapshot")
+            recorded = SpinStructure(tuple(0.5 * (((spin_word - 1) >> i) & 1) for i in range(3)))
+            if spin is not None and spin != recorded:
+                raise ValueError(f"snapshot spin shift {recorded.shift} != {spin.shift}")
+            spin = recorded
         return SpinorField(grid, spin or SpinStructure(), cplx)
     raise ValueError(f"unknown snapshot kind {kind}")

@@ -80,8 +80,8 @@ def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
     if scale == 0.0 or np.linalg.norm(b) <= 1e-15 * max(scale, u.grid.cell_volume ** -0.5):
         return SpinorField(u.grid, pair.psi.spin, np.zeros_like(r.values))
 
-    y, _info = deflated_solve(pencil, deflate, lam, b,
-                              0.05 * tol * scale / np.linalg.norm(b), 1200)
+    y, _info, iterations = deflated_solve(pencil, deflate, lam, b,
+                                          0.05 * tol * scale / np.linalg.norm(b), 1200)
 
     # the deflated-system residual is what the solve controls; for a pair
     # satisfying its constraint residual it equals the raw round-trip defect
@@ -89,6 +89,7 @@ def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
     resid = float(np.linalg.norm(b - deflate(pencil.apply(y) - lam * y)))
     if resid > 0.5 * tol * max(scale, 1e-300):
         raise ConvergenceFailure("projected resolvent residual above contract",
+                                 iterations=iterations,
                                  residual=float(resid / max(scale, 1e-300)))
     return SpinorField(u.grid, pair.psi.spin, pencil.unpack(y) / pencil.b_half[..., None])
 

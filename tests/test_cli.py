@@ -7,6 +7,7 @@ import pytest
 
 import edtorus.cli
 import edtorus.flow
+import edtorus.pencil
 from edtorus.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -249,6 +250,23 @@ class TestFlowCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["steps"] == 0
         assert summary["abort_reason"] == f"{type(error).__name__}: {error}"
+
+    def test_inner_solver_cap_records_iterations(self, tmp_path, monkeypatch):
+        # MINRES capped at 3 iterations fails the first projected resolvent of
+        # the first step; the abort carries the solver's iterations and residual
+        original = edtorus.pencil.minres_hermitian
+
+        def capped(*args, **kwargs):
+            return original(*args, **{**kwargs, "maxiter": 3})
+
+        monkeypatch.setattr(edtorus.pencil, "minres_hermitian", capped)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out"))
+        assert main(["flow", "--config", "f.cfg"]) == EXIT_CONVERGENCE
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["abort_reason"].startswith("ConvergenceFailure")
+        assert summary["iterations"] == 3
+        assert np.isfinite(summary["residual"])
 
     def test_failure_before_first_step_writes_summary(self, tmp_path, monkeypatch):
         # a ConvergenceFailure from the initial solve leaves no trajectory

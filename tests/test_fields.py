@@ -205,6 +205,32 @@ class TestSnapshotFormat:
         back = read_snapshot(path)
         assert np.array_equal(back.values, psi.values)
 
+    @pytest.mark.parametrize("shift", [(a, b, c) for a in (0.0, 0.5) for b in (0.0, 0.5)
+                                       for c in (0.0, 0.5)])
+    def test_spinor_records_spin_structure(self, tmp_path, rng, shift):
+        grid = TorusGrid(4)
+        psi = random_spinor(grid, SpinStructure(shift), rng)
+        path = tmp_path / "psi.edf"
+        write_snapshot(path, psi)
+        back = read_snapshot(path)
+        assert back.spin == psi.spin
+        assert np.array_equal(back.values, psi.values)
+        assert read_snapshot(path, spin=SpinStructure(shift)).spin == psi.spin
+        mask = sum(1 << i for i, d in enumerate(shift) if d)
+        assert int.from_bytes(path.read_bytes()[12:16], "little") == 1 + mask
+
+    def test_scalar_header_records_no_spin(self, tmp_path, grid8):
+        path = tmp_path / "one.edf"
+        write_snapshot(path, constant_field(grid8, 1.0))
+        assert path.read_bytes()[12:16] == bytes(4)
+
+    def test_spin_mismatch_rejected(self, tmp_path, rng):
+        grid = TorusGrid(4)
+        path = tmp_path / "psi.edf"
+        write_snapshot(path, random_spinor(grid, SpinStructure((0.5, 0.0, 0.5)), rng))
+        with pytest.raises(ValueError, match="spin"):
+            read_snapshot(path, spin=SpinStructure())
+
     def test_header_layout(self, tmp_path, grid8):
         path = tmp_path / "one.edf"
         write_snapshot(path, constant_field(grid8, 1.0))
