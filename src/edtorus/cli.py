@@ -331,6 +331,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "eigenvalues": [float(x) for x in lams],
         "clusters": clusters,
         "max_constraint_residual": max(residuals),
+        "iterations": window.iterations,
         "formulas": FORMULA_VERSIONS,
     })
     write_csv(out / "spectrum.csv", ("index", "lambda", "constraint_residual"),

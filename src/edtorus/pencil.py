@@ -107,8 +107,9 @@ def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int =
                      residual=None):
     """Solve apply_c(x) = b for hermitian apply_c (possibly indefinite), b a vector.
 
-    Returns (x, info, iterations) with info = 1 if maxiter was reached
-    unconverged (0 = success); a zero b returns x = 0 after no iteration.
+    Returns (x, info, iterations, resid) with info = 1 if maxiter was reached
+    unconverged (0 = success) and resid = residual(x) for the returned x; a
+    zero b returns x = 0 and resid = 0 after no iteration.
 
     Stops on the true residual, residual(x) <= rtol, recomputed from the
     operator: by default residual(x) = |b - apply_c(x)|_2 / |b|_2, and a caller
@@ -119,13 +120,15 @@ def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int =
     the ratio just seen between the true residual and the estimate.  The
     iteration also stops when the first iterate is exact or at the roundoff
     floors of the recurrence (gmax/gmin >= 0.1/eps, |A| |x| eps >= beta1).
+    resid is the value of the check MINRES stopped on, and is computed once
+    more only after a stop without one (maxiter, exact first iterate, floors).
     """
     eps = float(np.finfo(np.float64).eps)
     b = np.asarray(b, dtype=np.complex128)
     x = np.zeros_like(b)
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
-        return x, 0, 0
+        return x, 0, 0, 0.0
     if residual is None:
         def residual(z):
             return float(np.linalg.norm(b - apply_c(z))) / beta1
@@ -163,36 +166,52 @@ def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int =
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         stop = (stop or gmax / gmin >= 0.1 / eps
                 or math.sqrt(tnorm2) * float(np.linalg.norm(x)) * eps >= beta1)
-        if not stop and phibar <= trigger * beta1:
+        checked = not stop and phibar <= trigger * beta1
+        if checked:
             resid = residual(x)
             stop = resid <= rtol
             if not stop:
                 trigger = rtol * (phibar / beta1) / resid
         if stop:
-            return x, 0, itn
-    return x, 1, maxiter
+            return x, 0, itn, resid if checked else residual(x)
+    return x, 1, maxiter, residual(x)
 
 
 class ShiftedDiagonalPreconditioner:
-    """Hermitian positive-definite approximation of |C|^{-1}, independent of
-    any shift.
+    """Hermitian positive-definite approximation of |C - sigma|^{-1}.
 
-    C^{-1} = B^{1/2} D^{-1} B^{1/2} with B diagonal in physical space and D
-    diagonal in Fourier space, so M = B^{1/2} |D|^{-1} B^{1/2} is as cheap as
-    one FFT pair: |D| is K = |kappa| on each Fourier mode, floored at the
-    smallest nonzero |kappa| to keep the harmonic mode of shift (0, 0, 0)
-    bounded (`inv_kappa` holds 1/K).  For constant u, M is exactly |C|^{-1}
-    off the harmonic modes.  The folded window solver on (C - sigma)^2 applies
-    M^2; `deflated_solve` never applies M but splits it, M = L L^H with
-    L = B^{1/2} F^{-1} K^{-1/2}, into its operator.
+    C - sigma = B^{-1/2} (D - sigma B) B^{-1/2} with B diagonal in physical
+    space and D diagonal in Fourier space.  Replacing B by its mean wbar in
+    the middle factor gives M = B^{1/2} F^{-1} R F B^{1/2}, as cheap as one FFT
+    pair, where on each Fourier mode
 
-    The class keeps its name from the shifted form it replaced because the
-    benchmark's tracing (perfbench/spans.py) wraps `__call__` by that name.
+        R = P+ / max(| |kappa| - sigma wbar|, k_min)
+          + P- / max(|-|kappa| - sigma wbar|, k_min),
+
+    P+- = (1 +- sigma.kappa / |kappa|) / 2 the projectors on the two branches
+    of the symbol (at kappa = 0 they coincide and R is a scalar).  The floor
+    k_min, the smallest nonzero |kappa|, keeps R bounded on the modes with a
+    branch at sigma wbar and on the harmonic mode of shift (0, 0, 0).  For
+    constant u, M is exactly |C - sigma|^{-1} off the floored modes.  The
+    folded window solver on (C - sigma)^2 applies M^2 at sigma = target.
+
+    At sigma = 0, R is the scalar K^{-1}, K = max(|kappa|, k_min)
+    (`inv_kappa`).  `deflated_solve` never applies that M but splits it,
+    M = L L^H with L = B^{1/2} F^{-1} K^{-1/2}, into its operator.
     """
 
-    def __init__(self, pencil: Pencil):
-        kn = np.sqrt(sum(k ** 2 for k in pencil._kappa))
-        self.inv_kappa = (1.0 / np.maximum(kn, kn[kn > 0].min()))[..., None]
+    def __init__(self, pencil: Pencil, sigma: float = 0.0):
+        k1, k2, k3 = pencil._kappa
+        kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
+        k_min = kn[kn > 0].min()
+        self.inv_kappa = (1.0 / np.maximum(kn, k_min))[..., None]
+        shift = sigma * float(np.mean(pencil.weight))
+        r_plus = 1.0 / np.maximum(np.abs(kn - shift), k_min)
+        r_minus = 1.0 / np.maximum(np.abs(kn + shift), k_min)
+        # R = c + s sigma.kappa; r_plus = r_minus, so s = 0, wherever kappa = 0
+        c = 0.5 * (r_plus + r_minus)
+        s = 0.5 * (r_plus - r_minus) / np.maximum(kn, k_min)
+        self.symbol = (c + s * k3, s * (k1 - 1j * k2), s * (k1 + 1j * k2), c - s * k3)
         self.pencil = pencil
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -200,7 +219,10 @@ class ShiftedDiagonalPreconditioner:
         p = self.pencil
         b_half = p.b_half[..., None]
         hat = grid_fft(p.unpack(x) * b_half, axes=SPINOR_GRID_AXES)
-        return p.pack(grid_ifft(hat * self.inv_kappa, axes=SPINOR_GRID_AXES) * b_half)
+        r00, r01, r10, r11 = self.symbol
+        h0, h1 = hat[..., 0], hat[..., 1]
+        out = np.stack([r00 * h0 + r01 * h1, r10 * h0 + r11 * h1], axis=-1)
+        return p.pack(grid_ifft(out, axes=SPINOR_GRID_AXES) * b_half)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +250,15 @@ class EigenPair:
 
 @dataclass
 class SpectrumWindow:
-    """A batch of eigenpairs of one pencil sorted by eigenvalue."""
+    """A batch of eigenpairs of one pencil sorted by eigenvalue; `iterations`
+    counts the window solver's LOBPCG iterations (0 from the dense oracle)."""
 
     target: float
     count: int
     pairs: list
     u: ScalarField = field(repr=False)
     exps: ExponentTable = field(repr=False)
+    iterations: int = 0
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -419,11 +443,13 @@ def solve_window(u: ScalarField, target: float, count: int,
     """Compute `count` eigenpairs of the pencil nearest `target`.
 
     LOBPCG (Knyazev 2001) on the folded operator A = (C - sigma)^2, sigma =
-    target, preconditioned by M^2 with M the shift-free approximation of
-    |C|^{-1}.  A is positive semidefinite at every sigma and its smallest
-    eigenvalues are exactly the squared distances to sigma, so an eigenvalue
-    at sigma is a zero Ritz value and far clusters cannot alias into the
-    window.  The block holds count + 4 columns, started from plane waves plus
+    target, preconditioned by M^2 with M the Fourier-space approximation of
+    |C - sigma|^{-1} (`ShiftedDiagonalPreconditioner` at sigma), so M^2 A is
+    close to the identity for u close to constant; a shift-free |C|^{-1}
+    cannot tell the wanted eigenvalues near sigma from their neighbours.
+    A is positive semidefinite at every sigma and its smallest eigenvalues
+    are exactly the squared distances to sigma, so an eigenvalue at sigma is
+    a zero Ritz value and far clusters cannot alias into the window.  The block holds count + 4 columns, started from plane waves plus
     seeded noise; columns whose folded residual falls below the lock
     threshold keep their place in the Rayleigh-Ritz basis but add no search
     directions (soft locking).  The search directions [W, P] are
@@ -431,7 +457,7 @@ def solve_window(u: ScalarField, target: float, count: int,
     A P is never carried through that transform, whose conditioning degrades
     as the residuals shrink.  Signed eigenvalues come from a
     final Rayleigh-Ritz of C on the first `count` columns, accepted only on
-    directly verified residuals of C.
+    directly verified residuals of C; the window records the iterations.
     """
     spin = spin or SpinStructure()
     exps = exps or ExponentTable(3)
@@ -450,7 +476,7 @@ def solve_window(u: ScalarField, target: float, count: int,
     # max(u^p1), so tighten the Ritz threshold accordingly
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
     lock_tol = max(0.02 * eff_tol, 1e-13)
-    prec = ShiftedDiagonalPreconditioner(pencil)
+    prec = ShiftedDiagonalPreconditioner(pencil, sigma)
 
     def folded(Z):
         Y = pencil.apply(Z) - sigma * Z
@@ -476,7 +502,7 @@ def solve_window(u: ScalarField, target: float, count: int,
             if np.linalg.norm(CY @ Wc - Z * theta, axis=0).max() <= eff_tol:
                 pairs = [EigenPair(float(theta[i]), pencil.to_spinor(_fix_gauge(Z[:, i])))
                          for i in range(count)]
-                return SpectrumWindow(sigma, count, pairs, u, exps)
+                return SpectrumWindow(sigma, count, pairs, u, exps, iterations=it)
 
         active = resid > lock_tol
         if not active.any():
@@ -522,7 +548,8 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
     one FFT pair, U = [L^H V, L^H (C - lam) V] and T = [[-H, I], [I, 0]] with
     H = V^H (C - lam) V.  MINRES stops on the recomputed residual of the
     caller's system, |b - Q (C - lam) Q y|_2 <= rtol |b|_2.  Returns (Q y,
-    info, iterations) of `minres_hermitian`."""
+    info, iterations, resid) of `minres_hermitian`, resid that recomputed
+    relative residual of the returned Q y."""
     inv_kappa = ShiftedDiagonalPreconditioner(pencil).inv_kappa
     kih = np.sqrt(inv_kappa)
     k1, k2, k3 = (k * inv_kappa[..., 0] for k in pencil._kappa)
@@ -560,9 +587,9 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
         y = deflate(lift(z))
         return float(np.linalg.norm(b - deflate(pencil.apply(y) - lam * y))) / bnorm
 
-    z, info, iterations = minres_hermitian(op, rhs, rtol=rtol, maxiter=maxiter,
-                                           residual=residual)
-    return deflate(lift(z)), info, iterations
+    z, info, iterations, resid = minres_hermitian(op, rhs, rtol=rtol, maxiter=maxiter,
+                                                  residual=residual)
+    return deflate(lift(z)), info, iterations, resid
 
 
 def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
@@ -591,7 +618,7 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
             break
         deflate = kramers_deflation(pencil, chi)
         b = -deflate(resid_vec)
-        t, _info, _its = deflated_solve(pencil, deflate, lam, b,
+        t, _info, _its, _resid = deflated_solve(pencil, deflate, lam, b,
                                         0.05 * eff_tol / np.linalg.norm(b), 400)
         chi_new = chi + t
         chi = chi_new / np.linalg.norm(chi_new)

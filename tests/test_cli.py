@@ -170,6 +170,7 @@ class TestSpectrumCommand:
         sel = dense.nearest_indices(0.87, 12)
         assert np.abs(np.array(data["eigenvalues"]) -
                       np.sort(dense.eigenvalues[sel])).max() <= 1e-8
+        assert 0 < data["iterations"] <= 400
 
     def test_bad_config_exit_code(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("flw.dt = 0.1\n")

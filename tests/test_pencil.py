@@ -87,9 +87,10 @@ class TestMinres:
     def test_true_residual_meets_rtol(self, system, rtol):
         shifted, b = system
         for j in range(b.shape[1]):
-            x, info, _iterations = minres_hermitian(shifted, b[:, j], rtol=rtol)
+            x, info, _iterations, resid = minres_hermitian(shifted, b[:, j], rtol=rtol)
             assert info == 0
             assert np.linalg.norm(b[:, j] - shifted(x)) <= rtol * np.linalg.norm(b[:, j])
+            assert resid <= rtol
             if j == 2:
                 assert np.all(x == 0)
 
@@ -97,8 +98,11 @@ class TestMinres:
         shifted, b = system
         infos = unconverged = 0
         for j in range(b.shape[1]):
-            x, info, iterations = minres_hermitian(shifted, b[:, j], rtol=1e-11, maxiter=3)
+            x, info, iterations, reported = minres_hermitian(shifted, b[:, j], rtol=1e-11,
+                                                             maxiter=3)
             resid = np.linalg.norm(b[:, j] - shifted(x))
+            assert reported == pytest.approx(resid / max(np.linalg.norm(b[:, j]), 1e-300),
+                                             rel=1e-12, abs=0.0)
             infos += info
             unconverged += int(resid > 1e-11 * np.linalg.norm(b[:, j]))
             assert iterations == (0 if j == 2 else 3)
@@ -117,10 +121,11 @@ class TestDeflatedSolve:
         lam = dense.eigenvalues[i]
         deflate = kramers_deflation(pencil, dense.eigenvectors[:, i])
         b = deflate(rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim))
-        y, info, _iterations = deflated_solve(pencil, deflate, lam, b, 1e-11, 1200)
+        y, info, _iterations, reported = deflated_solve(pencil, deflate, lam, b, 1e-11, 1200)
         assert info == 0
         resid = np.linalg.norm(b - deflate(pencil.apply(y) - lam * y))
         assert resid <= 1e-11 * np.linalg.norm(b)
+        assert reported == pytest.approx(resid / np.linalg.norm(b), rel=1e-12)
 
         evecs = dense.eigenvectors
         c_mat = (evecs * dense.eigenvalues) @ evecs.conj().T
@@ -184,6 +189,25 @@ class TestSolveWindow:
         win = solve_window(u, sigma, 12, spin, exps)
         assert np.abs(win.eigenvalues - dense.window(sigma, 12).eigenvalues).max() <= 1e-10
 
+    def test_generic_window_off_the_first_shell(self, grid6, exps):
+        # a window at 1.5, off the first shell: with a shift-free |C|^{-1}
+        # preconditioner LOBPCG does not converge here within 400 iterations
+        spin = SpinStructure((0.5, 0.5, 0.0))
+        u = generic_u(grid6)
+        win = solve_window(u, 1.5, 12, spin, exps)
+        dense = dense_oracle(u, spin, exps)
+        assert np.abs(win.eigenvalues - dense.window(1.5, 12).eigenvalues).max() <= 1e-10
+
+    def test_acceptance_window_iteration_budget(self, grid8, exps):
+        # the cold window of the acceptance run (N = 8, sigma = 0.87, 12 pairs,
+        # seed 7) within 40 iterations; a shift-free |C|^{-1} preconditioner
+        # needs 62
+        u = generic_u(grid8)
+        capped = solve_window(u, 0.87, 12, seed=7, max_iter=40)
+        free = solve_window(u, 0.87, 12, seed=7)
+        assert capped.iterations <= 40
+        assert np.abs(capped.eigenvalues - free.eigenvalues).max() <= 1e-12
+
     def test_rejects_nonpositive_u(self, grid6):
         with pytest.raises(NonPositiveConformalFactor):
             solve_window(constant_field(grid6, -1.0), 0.5, 2)
@@ -200,6 +224,7 @@ class TestSpectrumNear:
         sel = dense.nearest_indices(0.87, 6)
         win = spectrum_near(u, 0.87, 6, spin, exps)
         assert np.array_equal(win.eigenvalues, np.sort(dense.eigenvalues[sel]))
+        assert win.iterations == 0
 
     def test_matrix_free_above_dense_limit(self, grid8, spin, exps):
         u = generic_u(grid8)

@@ -2,8 +2,8 @@
 
 D and C = B^{-1/2} D B^{-1/2} are hermitian, J^2 = -1 and DJ = JD, the
 Kramers deflation is a hermitian idempotent that annihilates chi and J chi,
-and the preconditioner M is hermitian positive definite and equals |C|^{-1}
-for constant u.
+and the preconditioner M is hermitian positive definite at every shift sigma
+and equals |C - sigma|^{-1} for constant u off the modes its floor clips.
 """
 
 import numpy as np
@@ -29,6 +29,10 @@ CASES = st.tuples(st.sampled_from([4, 6]), st.sampled_from(SPINS),
                   st.integers(min_value=0, max_value=2 ** 32 - 1))
 
 PROPERTY = settings(max_examples=16, deadline=None)
+
+#: nonzero shifts of the preconditioner, both signs, across the first shells
+SIGMAS = st.one_of(st.floats(min_value=-3.0, max_value=-0.05),
+                   st.floats(min_value=0.05, max_value=3.0))
 
 
 def draw(n, spin, seed):
@@ -146,4 +150,41 @@ def test_preconditioner_inverts_constant_pencil(case, c):
     hat[(k1 ** 2 + k2 ** 2 + k3 ** 2) == 0] = 0.0
     x = pencil.pack(grid_ifft(hat))
     mcmc = prec(pencil.apply(prec(pencil.apply(x))))
+    assert np.linalg.norm(mcmc - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@given(CASES, SIGMAS)
+@PROPERTY
+def test_shifted_preconditioner_hermitian_positive(case, sigma):
+    n, spin, seed = case
+    _grid, u, spinor = draw(n, spin, seed)
+    pencil = Pencil(u, spin, ExponentTable(3))
+    prec = ShiftedDiagonalPreconditioner(pencil, sigma)
+    x, y = (pencil.pack(spinor().values) for _ in range(2))
+    assert hermitian_defect(prec, x, y) <= 1e-13
+    block = np.column_stack([pencil.pack(spinor().values) for _ in range(4)])
+    assert np.all(np.einsum("ij,ij->j", block.conj(), prec(block)).real > 0)
+
+
+@given(CASES, st.floats(min_value=0.5, max_value=2.0), SIGMAS)
+@PROPERTY
+def test_shifted_preconditioner_inverts_constant_pencil(case, c, sigma):
+    """For constant u = c, M (C - sigma) M (C - sigma) x = x on spinors without
+    the modes where a branch +-|kappa| lies within k_min of sigma c^2, the
+    modes the floor of M clips."""
+    n, spin, seed = case
+    grid, _u, spinor = draw(n, spin, seed)
+    pencil = Pencil(scalar_field(grid, np.full(grid.shape, c)), spin, ExponentTable(3))
+    prec = ShiftedDiagonalPreconditioner(pencil, sigma)
+    hat = grid_fft(spinor().values)
+    k1, k2, k3 = spinor_momentum(grid.n, grid.length, spin.shift)
+    kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
+    k_min = kn[kn > 0].min()
+    hat[np.minimum(np.abs(kn - sigma * c ** 2), np.abs(kn + sigma * c ** 2)) < k_min] = 0.0
+    x = pencil.pack(grid_ifft(hat))
+
+    def shifted(z):
+        return pencil.apply(z) - sigma * z
+
+    mcmc = prec(shifted(prec(shifted(x))))
     assert np.linalg.norm(mcmc - x) <= 1e-12 * np.linalg.norm(x)
