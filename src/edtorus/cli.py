@@ -41,7 +41,7 @@ from .fields import (
     write_snapshot,
 )
 from .flow import FORMULA_VERSIONS, FlowConfig, TRAJECTORY_COLUMNS, run as flow_run
-from .pencil import dense_oracle, solve_window
+from .pencil import dense_oracle, reset_solver_stats, solve_window, solver_stats
 from .perturb import lambda_dot, lambda_dot_fd_study, psi_dot_fd_study, tracked_pair
 
 EXIT_OK = 0
@@ -354,6 +354,7 @@ def cmd_flow(cfg: RunConfig) -> int:
             write_snapshot(out / f"u_{step_index:06d}.edf", state.u)
             write_snapshot(out / f"psi_{step_index:06d}.edf", state.pair.psi)
 
+    reset_solver_stats()
     try:
         traj = flow_run(u0, cfg.get_float("eigen.target"), fc, exps, spin,
                         snapshot_hook=hook if stride else None)
@@ -365,6 +366,7 @@ def cmd_flow(cfg: RunConfig) -> int:
             "failed" if failed else "rejected": f"{type(exc).__name__}: {exc}",
             "iterations": getattr(exc, "iterations", None),
             "residual": getattr(exc, "residual", None),
+            "solver_stats": solver_stats(),
             "formulas": FORMULA_VERSIONS,
         })
         if failed:
@@ -385,6 +387,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         "abort_reason": traj.abort_reason,
         "iterations": getattr(traj.abort_error, "iterations", None),
         "residual": getattr(traj.abort_error, "residual", None),
+        "solver_stats": solver_stats(),
         "formulas": FORMULA_VERSIONS,
     })
     print(f"flow: {len(traj.rows) - 1} steps to t={fmt(traj.rows[-1][0])} -> {out}")

@@ -18,6 +18,11 @@ class ConvergenceFailure(EdtorusError):
         self.residual = residual
 
 
+class NonFiniteState(ConvergenceFailure):
+    """The integrated state or one of its rates is not finite: a numerical
+    breakdown, reported like a solver failure."""
+
+
 class GridTooLarge(EdtorusError):
     """Dense-path operation requested on a grid above its size budget."""
 

@@ -28,6 +28,7 @@ from .dirac import apply_dirac
 from .errors import (
     ConvergenceFailure,
     EdtorusError,
+    NonFiniteState,
     NoSimpleEigenvalue,
     PositivityLoss,
     SmallGap,
@@ -89,6 +90,12 @@ def volume(u: ScalarField, exps: ExponentTable) -> float:
     return quadrature(scalar_field(u.grid, u.values ** exps.p5))
 
 
+def _require_finite(what: str, *parts) -> None:
+    """Raise NonFiniteState unless every part (array or number) is finite."""
+    if not all(np.all(np.isfinite(part)) for part in parts):
+        raise NonFiniteState(f"non-finite {what}")
+
+
 def rhs_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
     """Time derivative of the conformal factor, coefficient in ratio form."""
     if u.min() <= 0.0:
@@ -98,7 +105,9 @@ def rhs_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
     energy = integrate_values(u.grid, u.values * lu)
     weight = integrate_values(u.grid, u.values ** exps.p1 * dens)
     bracket = lu - (energy / weight) * dens * u.values ** exps.p2
-    return scalar_field(u.grid, -(u.values ** (1.0 - exps.p3)) * bracket)
+    rate = -(u.values ** (1.0 - exps.p3)) * bracket
+    _require_finite("rate of u", rate)
+    return scalar_field(u.grid, rate)
 
 
 def eta_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
@@ -210,19 +219,22 @@ def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
     grid, spin = state.u.grid, state.pair.psi.spin
     gap = state.gap
 
-    def coupled_rate(_t: float, y: tuple) -> tuple:
+    def coupled_rate(t: float, y: tuple) -> tuple:
         u_vals, lam, psi_vals = y
+        _require_finite(f"RK4 stage state at t = {t!r}", u_vals, lam, psi_vals)
         u = scalar_field(grid, u_vals)
         _check_positivity(u, config.eps_pos)
         pair = EigenPair(lam, SpinorField(grid, spin, psi_vals))
         du = rhs_u(u, pair, exps)
         dlam = lambda_dot(u, du, pair, exps)
+        _require_finite(f"rate of lambda at t = {t!r}", dlam)
         dpsi = psi_dot(u, du, pair, dlam, exps, tol=config.resolvent_tol,
                        gap=gap, gap_tol=config.gap_tol * (1.0 + abs(lam)))
         return du.values, dlam, dpsi.values
 
     u1, lam1, psi1 = rk4_step(coupled_rate, state.t, dt,
                               (state.u.values, state.pair.lam, state.pair.psi.values))
+    _require_finite(f"RK4 step to t = {state.t + dt!r}", u1, lam1, psi1)
     u_new = scalar_field(grid, u1)
     _check_positivity(u_new, config.eps_pos)
     return FlowState(state.t + dt, u_new,
@@ -242,6 +254,7 @@ def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
                                zero_operator(grid), constant_provider(explicit),
                                u0, dt, 1)
     u1_vals = parabolic_solve(problem, "backward_euler").states[-1]
+    _require_finite(f"IMEX step to t = {state.t + dt!r}", u1_vals)
     u_new = scalar_field(grid, u1_vals)
     _check_positivity(u_new, config.eps_pos)
 
@@ -378,7 +391,8 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
     recorded as the trajectory's abort reason, not raised: only short-time
     existence is guaranteed.  Only package errors (EdtorusError) abort this
     way; a LinAlgError from a dense factorization is recorded as a
-    ConvergenceFailure, and any other exception propagates.
+    ConvergenceFailure, a non-finite state or rate as NonFiniteState, and
+    any other exception propagates.
     """
     exps = exps or ExponentTable(3)
     state = prepare_initial_state(u0, target, exps, config, spin)

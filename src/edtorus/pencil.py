@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import zaxpy
 
 from .dirac import _apply_symbol, apply_dirac, j_values
 from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor, WindowTooNarrow
@@ -21,6 +23,7 @@ from .fields import (
     ScalarField,
     SpinorField,
     SpinStructure,
+    _freeze,
     _integer_modes,
     grid_fft,
     grid_ifft,
@@ -37,6 +40,22 @@ DEFAULT_GAP_TOL = 1e-3
 
 #: grid axes of an unpacked spinor array or a batch of them, (..., n, n, n, 2)
 SPINOR_GRID_AXES = (-4, -3, -2)
+
+#: process-local counts of solver work, in report order (`solver_stats`)
+_STATS = dict.fromkeys(("minres_solves", "minres_iterations", "window_solves",
+                        "lobpcg_iterations", "refine_pair_calls"), 0)
+
+
+def solver_stats() -> dict:
+    """Solver work in this process since `reset_solver_stats`: MINRES solves
+    and iterations, window solves and their LOBPCG iterations, `refine_pair`
+    calls.  Counts only, so a rerun reproduces them exactly."""
+    return dict(_STATS)
+
+
+def reset_solver_stats() -> None:
+    for key in _STATS:
+        _STATS[key] = 0
 
 
 class Pencil:
@@ -101,7 +120,18 @@ class Pencil:
 # preconditioner: `deflated_solve` splits its preconditioner M = L L^H into
 # the operator, and plain MINRES on L^H A L has the iterates of M-preconditioned
 # MINRES on A at one FFT pair per iteration instead of two.
+#
+# The vectors are updated in place: apply_c returns a fresh array, which the
+# recurrence subtracts from in place and keeps as the next Lanczos residual;
+# the two direction vectors w share two buffers, the new one overwriting the
+# oldest; x is updated by an axpy.  Nothing writes into b or into a vector
+# already passed to apply_c, so per iteration the only new arrays are v and
+# apply_c(v).
 # ---------------------------------------------------------------------------
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(float(np.vdot(x, x).real))
+
 
 def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int = 600,
                      residual=None):
@@ -122,30 +152,38 @@ def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int =
     floors of the recurrence (gmax/gmin >= 0.1/eps, |A| |x| eps >= beta1).
     resid is the value of the check MINRES stopped on, and is computed once
     more only after a stop without one (maxiter, exact first iterate, floors).
+    So after at least one iteration the last residual call of every return
+    path is on the returned x, and a caller may reuse what it computed there.
+
+    apply_c must return a fresh array, which the recurrence overwrites;
+    MINRES never writes into b or into an array it passed to apply_c.  The
+    iterate x is updated in place, so residual must not keep its argument.
     """
+    _STATS["minres_solves"] += 1
     eps = float(np.finfo(np.float64).eps)
     b = np.asarray(b, dtype=np.complex128)
     x = np.zeros_like(b)
-    beta1 = float(np.linalg.norm(b))
+    beta1 = _norm(b)
     if beta1 == 0.0:
         return x, 0, 0, 0.0
     if residual is None:
         def residual(z):
-            return float(np.linalg.norm(b - apply_c(z))) / beta1
+            return _norm(b - apply_c(z.copy())) / beta1
     trigger = float(rtol)
     r1 = r2 = b
-    w = w2 = x
+    w, w2 = np.zeros_like(b), np.zeros_like(b)
     oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
     tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, math.inf, -1.0, 0.0
     for itn in range(1, maxiter + 1):
-        v = r2 / beta
+        _STATS["minres_iterations"] += 1
+        v = r2 * (1.0 / beta)
         y = apply_c(v)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y = zaxpy(r1, y, a=-beta / oldb)
         alfa = float(np.vdot(v, y).real)
-        y = y - (alfa / beta) * r2
+        y = zaxpy(r2, y, a=-alfa / beta)
         r1, r2 = r2, y
-        oldb, beta = beta, float(np.linalg.norm(y))
+        oldb, beta = beta, _norm(y)
         tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
         # Abar = const * I: the first iterate is exact
         stop = itn == 1 and beta <= 10 * eps * beta1
@@ -159,13 +197,16 @@ def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int =
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
 
+        # w = (v - oldeps w1 - delta w2) / gamma into the buffer of w1
         w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        w1 *= -oldeps / gamma
+        w1 = zaxpy(v, w1, a=1.0 / gamma)
+        w = zaxpy(w2, w1, a=-delta / gamma)
+        x = zaxpy(w, x, a=phi)
 
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         stop = (stop or gmax / gmin >= 0.1 / eps
-                or math.sqrt(tnorm2) * float(np.linalg.norm(x)) * eps >= beta1)
+                or math.sqrt(tnorm2) * _norm(x) * eps >= beta1)
         checked = not stop and phibar <= trigger * beta1
         if checked:
             resid = residual(x)
@@ -175,6 +216,41 @@ def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int =
         if stop:
             return x, 0, itn, resid if checked else residual(x)
     return x, 1, maxiter, residual(x)
+
+
+@dataclass(frozen=True)
+class KappaSymbols:
+    """u-independent Fourier symbols of the preconditioners, read-only.
+
+    K = max(|kappa|, k_min) with k_min the smallest nonzero |kappa|.  The
+    split operator of `deflated_solve` uses kih = K^{-1/2} and the symbol
+    S = K^{-1/2} (sigma.kappa) K^{-1/2} = K^{-1} (sigma.kappa) as the pair
+    s_diag = (k3, -k3) / K, s_off = (k1 - i k2, k1 + i k2) / K, so that
+    (S z)_c = s_diag_c z_c + s_off_c z_{1-c}.  kih, s_diag and s_off have the
+    full spinor shape (n, n, n, 2) and complex dtype, so their products with
+    spinors in the iteration neither broadcast nor cast.
+    """
+
+    kn: np.ndarray         # |kappa|, (n, n, n)
+    k_min: float
+    inv_kappa: np.ndarray  # K^{-1}, (n, n, n, 1)
+    kih: np.ndarray
+    s_diag: np.ndarray
+    s_off: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
+    """The KappaSymbols of one grid and spin structure, built once."""
+    k1, k2, k3 = spinor_momentum(n, length, shift)
+    kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
+    k_min = float(kn[kn > 0].min())
+    inv_k = 1.0 / np.maximum(kn, k_min)
+    kih = np.sqrt(inv_k)[..., None].repeat(2, axis=-1).astype(np.complex128)
+    s_diag = np.stack([k3 * inv_k, -k3 * inv_k], axis=-1).astype(np.complex128)
+    s_off = np.stack([(k1 - 1j * k2) * inv_k, (k1 + 1j * k2) * inv_k], axis=-1)
+    return KappaSymbols(_freeze(kn), k_min, _freeze(inv_k[..., None]), _freeze(kih),
+                        _freeze(s_diag), _freeze(s_off))
 
 
 class ShiftedDiagonalPreconditioner:
@@ -202,9 +278,10 @@ class ShiftedDiagonalPreconditioner:
 
     def __init__(self, pencil: Pencil, sigma: float = 0.0):
         k1, k2, k3 = pencil._kappa
-        kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
-        k_min = kn[kn > 0].min()
-        self.inv_kappa = (1.0 / np.maximum(kn, k_min))[..., None]
+        grid = pencil.grid
+        sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
+        kn, k_min = sym.kn, sym.k_min
+        self.inv_kappa = sym.inv_kappa
         shift = sigma * float(np.mean(pencil.weight))
         r_plus = 1.0 / np.maximum(np.abs(kn - shift), k_min)
         r_minus = 1.0 / np.maximum(np.abs(kn + shift), k_min)
@@ -465,6 +542,7 @@ def solve_window(u: ScalarField, target: float, count: int,
     if not 1 <= count <= pencil.dim - 2:
         raise ValueError(f"count must be within the dimension budget, got {count}")
 
+    _STATS["window_solves"] += 1
     sigma = float(target)
     rng = np.random.default_rng(seed)
     block = min(count + 4, pencil.dim)
@@ -485,6 +563,7 @@ def solve_window(u: ScalarField, target: float, count: int,
     AX = folded(X)
     S = AS = np.zeros((pencil.dim, 0), dtype=np.complex128)
     for it in range(1, max_iter + 1):
+        _STATS["lobpcg_iterations"] += 1
         basis, a_basis = np.hstack([X, S]), np.hstack([AX, AS])
         H = basis.conj().T @ a_basis
         mu, V = np.linalg.eigh(0.5 * (H + H.conj().T))  # ascending squared distances
@@ -546,18 +625,19 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
     With F the unitary grid FFT and V = deflate.basis, S = K^{-1/2} (sigma.kappa)
     K^{-1/2} is pointwise in Fourier space, G = K^{-1/2} F B F^{-1} K^{-1/2} is
     one FFT pair, U = [L^H V, L^H (C - lam) V] and T = [[-H, I], [I, 0]] with
-    H = V^H (C - lam) V.  MINRES stops on the recomputed residual of the
-    caller's system, |b - Q (C - lam) Q y|_2 <= rtol |b|_2.  Returns (Q y,
-    info, iterations, resid) of `minres_hermitian`, resid that recomputed
-    relative residual of the returned Q y."""
-    inv_kappa = ShiftedDiagonalPreconditioner(pencil).inv_kappa
-    kih = np.sqrt(inv_kappa)
-    k1, k2, k3 = (k * inv_kappa[..., 0] for k in pencil._kappa)
-    s_minus, s_plus = k1 - 1j * k2, k1 + 1j * k2
-    weight = pencil.weight[..., None]
+    H = V^H (C - lam) V.  K^{-1/2} and S come from the cached `kappa_symbols`
+    and -lam B is folded into one array per solve, so an iteration is one FFT
+    pair, four pointwise products and the rank-4 term.  MINRES stops on the
+    recomputed residual of the caller's system, |b - Q (C - lam) Q y|_2 <=
+    rtol |b|_2.  Returns (Q y, info, iterations, resid) of `minres_hermitian`,
+    resid that recomputed relative residual of the returned Q y."""
+    grid = pencil.grid
+    sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
+    kih, s_diag, s_off = sym.kih, sym.s_diag, sym.s_off
+    g = np.repeat(-lam * pencil.weight[..., None], 2, axis=-1).astype(np.complex128)
     # L and L^H with F = grid_fft / sqrt(n^3) folded into B^{1/2}
-    b_lift = pencil.b_half[..., None] * np.sqrt(pencil.grid.num_points)
-    b_drop = pencil.b_half[..., None] / np.sqrt(pencil.grid.num_points)
+    b_lift = pencil.b_half[..., None] * np.sqrt(grid.num_points)
+    b_drop = pencil.b_half[..., None] / np.sqrt(grid.num_points)
 
     def lift(z):
         return pencil.pack(grid_ifft(kih * pencil.unpack(z), axes=SPINOR_GRID_AXES) * b_lift)
@@ -571,25 +651,33 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
     T = np.block([[-0.5 * (H + H.conj().T), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
     U = drop(np.column_stack([V, CV, b]))  # one batched FFT for U and L^H b
     U, rhs = U[:, :4], U[:, 4]
-    UT, Uh = U @ T, U.conj().T
+    Uh, UT = np.ascontiguousarray(U.conj().T), U @ T
 
     def op(z):
         zz = pencil.unpack(z)
-        out = -lam * kih * grid_fft(weight * grid_ifft(kih * zz, axes=SPINOR_GRID_AXES),
-                                    axes=SPINOR_GRID_AXES)
-        out[..., 0] += k3 * zz[..., 0] + s_minus * zz[..., 1]
-        out[..., 1] += s_plus * zz[..., 0] - k3 * zz[..., 1]
-        return pencil.pack(out) - UT @ (Uh @ z)
+        t = grid_ifft(kih * zz, axes=SPINOR_GRID_AXES)
+        t *= g
+        out = grid_fft(t, axes=SPINOR_GRID_AXES)
+        out *= kih
+        out += s_diag * zz
+        out += s_off * zz[..., ::-1]
+        out = pencil.pack(out)
+        out -= UT @ (Uh @ z)
+        return out
 
     bnorm = float(np.linalg.norm(b))
+    # y of the last residual check: minres_hermitian's last check is on the
+    # iterate it returns, so this is the solution (zero for a zero b, where
+    # it makes no iteration and no check)
+    last = [np.zeros_like(b)]
 
     def residual(z):
-        y = deflate(lift(z))
+        y = last[0] = deflate(lift(z))
         return float(np.linalg.norm(b - deflate(pencil.apply(y) - lam * y))) / bnorm
 
-    z, info, iterations, resid = minres_hermitian(op, rhs, rtol=rtol, maxiter=maxiter,
-                                                  residual=residual)
-    return deflate(lift(z)), info, iterations, resid
+    _z, info, iterations, resid = minres_hermitian(op, rhs, rtol=rtol, maxiter=maxiter,
+                                                   residual=residual)
+    return last[0], info, iterations, resid
 
 
 def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
@@ -602,6 +690,7 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
     Rayleigh shift are unreliable with Krylov inner solves).  Quadratically
     convergent; the caller is responsible for the cluster staying simple.
     """
+    _STATS["refine_pair_calls"] += 1
     pencil = Pencil(u, pair.psi.spin, exps)
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
 

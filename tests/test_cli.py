@@ -19,6 +19,8 @@ from edtorus.cli import (
     parse_config_text,
 )
 from edtorus.errors import ConvergenceFailure, ParseError, PositivityLoss, ValidationError
+from edtorus.fields import SpinorField
+from edtorus.pencil import EigenPair
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 
@@ -214,6 +216,13 @@ class TestFlowCommand:
         assert np.abs(vols - vols[0]).max() / vols[0] <= 1e-6
         assert (tmp_path / "out" / "u_000000.edf").exists()
         assert (tmp_path / "out" / "psi_000000.edf").exists()
+        # one projected-resolvent solve per RK4 stage, one window solve
+        stats = json.loads((tmp_path / "out" / "summary.json").read_text())["solver_stats"]
+        assert stats["window_solves"] == 1
+        assert stats["minres_solves"] >= 4 * (len(rows) - 1)
+        assert stats["minres_iterations"] > stats["minres_solves"]
+        assert stats["lobpcg_iterations"] > 0
+        assert stats["refine_pair_calls"] == (len(rows) - 1) // 3
 
     def test_rerun_byte_identical(self, tmp_path):
         (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out1"))
@@ -268,6 +277,31 @@ class TestFlowCommand:
         assert summary["abort_reason"].startswith("ConvergenceFailure")
         assert summary["iterations"] == 3
         assert np.isfinite(summary["residual"])
+
+    def test_nonfinite_rate_records_typed_abort(self, tmp_path, monkeypatch):
+        # the 5th u rate (first RK4 stage of step 2) is computed for a spinor
+        # scaled by 1e200: |psi|^2 overflows and the ratio-form bracket turns
+        # NaN; the run records a typed abort, writes summary.json and exits 2
+        original = edtorus.flow.rhs_u
+        calls = []
+
+        def overflowing(u, pair, exps):
+            calls.append(None)
+            if len(calls) == 5:
+                psi = pair.psi
+                pair = EigenPair(pair.lam, SpinorField(psi.grid, psi.spin, 1e200 * psi.values))
+            return original(u, pair, exps)
+
+        monkeypatch.setattr(edtorus.flow, "rhs_u", overflowing)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["flow", "--config", "f.cfg"]) == EXIT_CONVERGENCE
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["steps"] == 1
+        assert summary["abort_reason"] == "NonFiniteState: non-finite rate of u"
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 3  # header, the initial state and step 1
 
     def test_failure_before_first_step_writes_summary(self, tmp_path, monkeypatch):
         # a ConvergenceFailure from the initial solve leaves no trajectory

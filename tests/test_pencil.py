@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edtorus.dirac import flat_spectrum_oracle, quaternionic_j
+from edtorus.dirac import _apply_symbol, flat_spectrum_oracle, quaternionic_j
 from edtorus.errors import GridTooLarge, NonPositiveConformalFactor
 from edtorus.fields import (
     SpinorField,
@@ -9,13 +9,16 @@ from edtorus.fields import (
     TorusGrid,
     constant_field,
     field_from_function,
+    spinor_momentum,
     weighted_spinor_inner_c,
 )
 from edtorus.pencil import (
     EigenPair,
     Pencil,
+    ShiftedDiagonalPreconditioner,
     dense_oracle,
     deflated_solve,
+    kappa_symbols,
     kramers_deflation,
     minres_hermitian,
     refine_pair,
@@ -108,6 +111,46 @@ class TestMinres:
             assert iterations == (0 if j == 2 else 3)
         assert infos == unconverged == 4
 
+    def test_leaves_b_and_operator_inputs_unmodified(self, system):
+        # the recurrence works in place but never writes into b or into a
+        # vector it has handed to apply_c (the residual checks included)
+        shifted, b = system
+        rhs = np.ascontiguousarray(b[:, 1])
+        rhs_before = rhs.copy()
+        seen = []
+
+        def recording(v):
+            seen.append((v, v.copy()))
+            return shifted(v)
+
+        _x, info, iterations, _resid = minres_hermitian(recording, rhs, rtol=1e-11)
+        assert info == 0 and iterations > 2
+        assert np.array_equal(rhs, rhs_before)
+        assert len(seen) > iterations
+        assert all(np.array_equal(v, before) for v, before in seen)
+
+
+class TestKappaSymbols:
+    def test_cached_read_only_and_shared(self, grid6, spin, exps):
+        sym = kappa_symbols(grid6.n, grid6.length, spin.shift)
+        assert kappa_symbols(grid6.n, grid6.length, spin.shift) is sym
+        for arr in (sym.kn, sym.inv_kappa, sym.kih, sym.s_diag, sym.s_off):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+        prec = ShiftedDiagonalPreconditioner(Pencil(generic_u(grid6), spin, exps))
+        assert prec.inv_kappa is sym.inv_kappa
+
+    def test_split_symbol_is_scaled_sigma_kappa(self, grid6, spin, rng):
+        sym = kappa_symbols(grid6.n, grid6.length, spin.shift)
+        z = rng.standard_normal(grid6.shape + (2,)) + 1j * rng.standard_normal(grid6.shape + (2,))
+        kappa = spinor_momentum(grid6.n, grid6.length, spin.shift)
+        scaled = [k * sym.inv_kappa[..., 0] for k in kappa]
+        expect = np.stack(_apply_symbol(*scaled, z[..., 0], z[..., 1]), axis=-1)
+        got = sym.s_diag * z + sym.s_off * z[..., ::-1]
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+        assert np.allclose(sym.kih ** 2, np.repeat(sym.inv_kappa, 2, axis=-1), rtol=1e-15, atol=0)
+
 
 class TestDeflatedSolve:
     """The split-preconditioned correction equation against a dense solve on
@@ -133,6 +176,21 @@ class TestDeflatedSolve:
         reduced = basis.conj().T @ (c_mat - lam * np.eye(pencil.dim)) @ basis
         y_dense = basis @ np.linalg.solve(reduced, basis.conj().T @ b)
         assert np.linalg.norm(y - y_dense) <= 1e-9 * np.linalg.norm(y_dense)
+
+    def test_repeat_is_bit_identical(self, grid6, spin, exps, rng):
+        # a second solve on the same inputs sees the same cached symbols and
+        # leaves b as it was
+        dense = dense_oracle(generic_u(grid6), spin, exps)
+        i = int(np.argmin(np.abs(dense.eigenvalues - 0.87)))
+        lam = dense.eigenvalues[i]
+        deflate = kramers_deflation(dense.pencil, dense.eigenvectors[:, i])
+        dim = dense.pencil.dim
+        b = deflate(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        b_before = b.copy()
+        y1, *rest1 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
+        y2, *rest2 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
+        assert np.array_equal(y1, y2) and rest1 == rest2
+        assert np.array_equal(b, b_before)
 
 
 class TestSolveWindow:
