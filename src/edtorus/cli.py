@@ -66,7 +66,7 @@ _DEFAULTS = {
     "flow.dt": "adaptive",
     "flow.horizon": "0.05",
     "flow.scheme": "rk4_explicit",
-    "flow.projection_period": "5",
+    "flow.projection_period": "50",
     "output.dir": "out",
     "output.stride": "0",
     "seed": "7",

@@ -4,11 +4,12 @@ The conformal factor evolves by (u-form, m = 3)
 
     du/dt = -[ L_g u - (int u L_g u / int u^2 |psi|^2) |psi|^2 u ] u^{-4}
 
-coupled to the tracked generalized Dirac eigenpair (lambda, psi) through the
-first-order continuation rates.  The nonlocal coefficient is kept in ratio
-form, which makes the conformal volume int u^6 dvol an exact invariant of the
-continuous flow and keeps the right side independent of normalization drift
-between projections.
+with psi the tracked eigenspinor of the generalized Dirac pencil at u.  The
+state is u alone: the eigenpair is a function of u, refined at every stage by
+a Jacobi-Davidson-style correction (`pencil.refine_pair`).  The nonlocal
+coefficient is kept in ratio form, which makes the conformal volume
+int u^6 dvol an exact invariant of the continuous flow and keeps the right
+side independent of the normalization of psi.
 """
 
 from __future__ import annotations
@@ -64,10 +65,7 @@ from .pencil import (
     spectrum_near,
 )
 from .perturb import (
-    eigenpath_step,
-    lambda_dot,
     projected_resolvent,
-    psi_dot,
     quaternion_align,
     renormalize,
     rk4_step,
@@ -82,6 +80,7 @@ FORMULA_VERSIONS = {
     "spinor_rate": "projected-resolvent-plus-v1",
     "linearized_operator": "multiply+rank-one+response-v1",
     "volume_invariant": "ratio-form-exact-v1",
+    "eigen_tracking": "per-stage-refine-predicted-v1",
 }
 
 
@@ -165,6 +164,7 @@ class FlowState:
     stationarity: float = 0.0
     min_u: float = 0.0
     action: float = 0.0
+    stage_pairs: tuple = ()             # RK4 stage pairs of the step that made it
 
     def with_diagnostics(self, exps: ExponentTable) -> "FlowState":
         r1, r2 = stationarity_residual(self.u, self.pair, exps)
@@ -186,13 +186,12 @@ class FlowConfig:
     dt: Optional[float] = None          # None: adaptive from the spectral bound
     cfl: float = 0.2                    # precondition coefficient (h^2 form)
     stability_factor: float = 0.05      # adaptive coefficient, below RK4 limit
-    projection_period: int = 5          # steps between eigenpair re-solves
+    projection_period: int = 50         # steps between window gap re-measurements
     eps_pos: float = 1e-6
     gap_tol: float = 1e-3               # relative: gap >= gap_tol * (1 + |lam|)
     scheme: str = "rk4_explicit"        # rk4_explicit | imex
     eigen_count: int = 12
-    resolvent_tol: float = 1e-10
-    gap_refresh: int = 10               # projections between full gap re-solves
+    resolvent_tol: float = 1e-10        # stage eigenpair tolerance
     seed: int = 1234
 
     def __post_init__(self):
@@ -214,39 +213,54 @@ def _check_positivity(u: ScalarField, eps_pos: float) -> None:
         raise PositivityLoss(f"min u = {u.min():.3e} below floor {eps_pos:.1e}")
 
 
+def _pair_at(u: ScalarField, guess: EigenPair, exps: ExponentTable,
+             config: FlowConfig) -> EigenPair:
+    """The tracked eigenpair at u: `refine_pair` started from guess, to the
+    stage tolerance `resolvent_tol`, and gauge-aligned to guess."""
+    fresh = refine_pair(u, guess, exps, tol=config.resolvent_tol)
+    return EigenPair(fresh.lam, quaternion_align(fresh.psi, guess.psi, u, exps))
+
+
 def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
               config: FlowConfig) -> FlowState:
+    """Classical RK4 in u alone.  Stage 1 uses the pair of the state; stage k
+    refines the stage k-1 pair plus the previous step's increment from its
+    stage k-1 to its stage k, which halves the refinement sweeps of stages 2
+    and 4; the pair at the new u is refined from the stage-4 pair."""
     grid, spin = state.u.grid, state.pair.psi.spin
-    gap = state.gap
+    previous, pairs = state.stage_pairs, []
 
-    def coupled_rate(t: float, y: tuple) -> tuple:
-        u_vals, lam, psi_vals = y
-        _require_finite(f"RK4 stage state at t = {t!r}", u_vals, lam, psi_vals)
+    def rate(t: float, y: tuple) -> tuple:
+        (u_vals,) = y
+        _require_finite(f"RK4 stage state at t = {t!r}", u_vals)
         u = scalar_field(grid, u_vals)
         _check_positivity(u, config.eps_pos)
-        pair = EigenPair(lam, SpinorField(grid, spin, psi_vals))
-        du = rhs_u(u, pair, exps)
-        dlam = lambda_dot(u, du, pair, exps)
-        _require_finite(f"rate of lambda at t = {t!r}", dlam)
-        dpsi = psi_dot(u, du, pair, dlam, exps, tol=config.resolvent_tol,
-                       gap=gap, gap_tol=config.gap_tol * (1.0 + abs(lam)))
-        return du.values, dlam, dpsi.values
+        if not pairs:
+            pair = state.pair
+        else:
+            guess = pairs[-1]
+            if previous:
+                lo, hi = previous[len(pairs) - 1], previous[len(pairs)]
+                guess = EigenPair(guess.lam + (hi.lam - lo.lam), SpinorField(
+                    grid, spin, guess.psi.values + (hi.psi.values - lo.psi.values)))
+            pair = _pair_at(u, guess, exps, config)
+        pairs.append(pair)
+        return (rhs_u(u, pair, exps).values,)
 
-    u1, lam1, psi1 = rk4_step(coupled_rate, state.t, dt,
-                              (state.u.values, state.pair.lam, state.pair.psi.values))
-    _require_finite(f"RK4 step to t = {state.t + dt!r}", u1, lam1, psi1)
+    (u1,) = rk4_step(rate, state.t, dt, (state.u.values,))
+    _require_finite(f"RK4 step to t = {state.t + dt!r}", u1)
     u_new = scalar_field(grid, u1)
     _check_positivity(u_new, config.eps_pos)
-    return FlowState(state.t + dt, u_new,
-                     EigenPair(lam1, SpinorField(grid, spin, psi1)), gap)
+    return FlowState(state.t + dt, u_new, _pair_at(u_new, pairs[-1], exps, config),
+                     state.gap, stage_pairs=tuple(pairs))
 
 
 def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
                config: FlowConfig) -> FlowState:
     """First-order IMEX: stiff diffusion c_m u^{-p4} Lap implicit with frozen
-    coefficient, nonlocal bracket explicit; eigenpair advanced along the
-    resulting linear-in-time path."""
-    grid, spin = state.u.grid, state.pair.psi.spin
+    coefficient, nonlocal bracket explicit; the pair at the new u is refined
+    from the incoming one."""
+    grid = state.u.grid
     u0 = state.u
     diffusivity = exps.c_m * u0.values ** (-exps.p4)
     explicit = rhs_u(u0, state.pair, exps).values - diffusivity * laplacian(u0).values
@@ -257,26 +271,13 @@ def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
     _require_finite(f"IMEX step to t = {state.t + dt!r}", u1_vals)
     u_new = scalar_field(grid, u1_vals)
     _check_positivity(u_new, config.eps_pos)
-
-    udot_vals = (u1_vals - u0.values) / dt
-
-    def u_of(tt: float) -> ScalarField:
-        s = (tt - state.t) / dt
-        return scalar_field(grid, (1.0 - s) * u0.values + s * u1_vals)
-
-    def udot_of(_tt: float) -> ScalarField:
-        return scalar_field(grid, udot_vals)
-
-    pair1 = eigenpath_step(u_of, udot_of, state.t, dt, state.pair, exps,
-                           resolvent_tol=config.resolvent_tol,
-                           gap=state.gap,
-                           gap_tol=config.gap_tol * (1.0 + abs(state.pair.lam)))
-    return FlowState(state.t + dt, u_new, pair1, state.gap)
+    return FlowState(state.t + dt, u_new, _pair_at(u_new, state.pair, exps, config),
+                     state.gap)
 
 
 def step(state: FlowState, dt: float, exps: ExponentTable,
          config: FlowConfig) -> FlowState:
-    """Advance one time step (no projection; `run` owns the projection cadence)."""
+    """Advance one time step (no gap re-measurement; `run` owns that cadence)."""
     if config.scheme == "rk4_explicit":
         bound = cfl_bound(state.u, exps, config.cfl)
         if dt > bound * (1.0 + 1e-12):
@@ -285,30 +286,41 @@ def step(state: FlowState, dt: float, exps: ExponentTable,
     return _imex_step(state, dt, exps, config)
 
 
-def project_state(state: FlowState, exps: ExponentTable, config: FlowConfig,
-                  solver_tol: float = 1e-9, full: bool = False) -> FlowState:
-    """Re-solve the eigenpair near the tracked eigenvalue, gauge-align and
-    renormalize.
+def _classify_cluster(u: ScalarField, center: float, exps: ExponentTable,
+                      config: FlowConfig, spin: SpinStructure) -> tuple:
+    """Window solves near center with eigen_count, +6 and +14 pairs, widened
+    until the window brackets the cluster nearest center.  Returns the last
+    window, its eigenvalue nearest center and that cluster's SimplicityReport
+    (None when every window held a single cluster)."""
+    report = None
+    for count in (config.eigen_count, config.eigen_count + 6, config.eigen_count + 14):
+        window = solve_window(u, center, count, spin, exps, seed=config.seed)
+        lams = window.eigenvalues
+        lam_near = float(lams[np.argmin(np.abs(lams - center))])
+        try:
+            report = simplicity_gap(window, lam_near,
+                                    gap_tol=config.gap_tol * (1.0 + abs(lam_near)))
+        except WindowTooNarrow:
+            continue  # whole window is one cluster: widen
+        if report.kind != "indeterminate" or report.gap_certified:
+            break
+        # uncertified gap (cluster at the window edge): widen and retry
+    return window, lam_near, report
 
-    The cheap path refreshes the pair by Rayleigh-quotient iteration and keeps
-    the last certified gap; a full window re-solve re-measures the gap (run
-    schedules those every `gap_refresh` projections).
+
+def project_state(state: FlowState, exps: ExponentTable, config: FlowConfig) -> FlowState:
+    """Re-measure the exterior gap of the tracked cluster by window solves at
+    u; the tracked pair is kept.
+
+    Raises SmallGap when the cluster is no longer quaternionic-simple.
     """
-    u, pair = state.u, state.pair
-    if not full:
-        fresh, gap = refine_pair(u, pair, exps, tol=solver_tol), state.gap
-    else:
-        window = solve_window(u, pair.lam, config.eigen_count, pair.psi.spin, exps,
-                              tol=solver_tol, seed=config.seed)
-        report = simplicity_gap(window, pair.lam,
-                                gap_tol=config.gap_tol * (1.0 + abs(pair.lam)))
-        if report.kind != "quaternionic_simple":
-            raise SmallGap(
-                f"tracked cluster no longer simple: {report.kind}, gap {report.exterior_gap:.3e}")
-        fresh, gap = tracked_pair(window, pair.lam), report.exterior_gap
-    aligned = quaternion_align(fresh.psi, pair.psi, u, exps)
-    new_pair = renormalize(u, EigenPair(fresh.lam, aligned), exps)
-    return replace(state, pair=new_pair, gap=gap)
+    _window, _lam, report = _classify_cluster(state.u, state.pair.lam, exps, config,
+                                              state.pair.psi.spin)
+    if report is None or report.kind != "quaternionic_simple":
+        detail = ("no window brackets it" if report is None
+                  else f"{report.kind}, gap {report.exterior_gap:.3e}")
+        raise SmallGap(f"tracked cluster no longer simple: {detail}")
+    return replace(state, gap=report.exterior_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +367,9 @@ def prepare_initial_state(u0: ScalarField, target: float, exps: ExponentTable,
     """
     spin = spin or SpinStructure()
     _check_positivity(u0, config.eps_pos)
-    report = None
-    for count in (config.eigen_count, config.eigen_count + 6, config.eigen_count + 14):
-        window = solve_window(u0, target, count, spin, exps, seed=config.seed)
-        lams = window.eigenvalues
-        lam_near = float(lams[np.argmin(np.abs(lams - target))])
-        if abs(lam_near) < 1e-8:
-            raise NoSimpleEigenvalue("nearest eigenvalue is zero")
-        try:
-            report = simplicity_gap(window, lam_near,
-                                    gap_tol=config.gap_tol * (1.0 + abs(lam_near)))
-        except WindowTooNarrow:
-            continue  # whole window is one cluster: widen
-        if report.kind != "indeterminate" or report.gap_certified:
-            break
-        # uncertified gap (cluster at the window edge): widen and retry
+    window, lam_near, report = _classify_cluster(u0, target, exps, config, spin)
+    if abs(lam_near) < 1e-8:
+        raise NoSimpleEigenvalue("nearest eigenvalue is zero")
     if report is None:
         raise NoSimpleEigenvalue("window never covered the cluster's neighbors")
     if report.kind != "quaternionic_simple":
@@ -403,7 +403,6 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
         snapshot_hook(0, state)
 
     steps_done = 0
-    projections_done = 0
     while state.t < config.horizon - 1e-14:
         if config.dt is not None:
             dt = config.dt
@@ -414,9 +413,7 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
             state = step(state, dt, exps, config)
             steps_done += 1
             if steps_done % config.projection_period == 0:
-                projections_done += 1
-                state = project_state(state, exps, config,
-                                      full=projections_done % config.gap_refresh == 0)
+                state = project_state(state, exps, config)
         except np.linalg.LinAlgError as exc:
             traj.abort_error = ConvergenceFailure(f"LinAlgError: {exc}")
             break

@@ -271,9 +271,10 @@ class ShiftedDiagonalPreconditioner:
     constant u, M is exactly |C - sigma|^{-1} off the floored modes.  The
     folded window solver on (C - sigma)^2 applies M^2 at sigma = target.
 
-    At sigma = 0, R is the scalar K^{-1}, K = max(|kappa|, k_min)
-    (`inv_kappa`).  `deflated_solve` never applies that M but splits it,
-    M = L L^H with L = B^{1/2} F^{-1} K^{-1/2}, into its operator.
+    At sigma = 0, R is the scalar K^{-1}, K = max(|kappa|, k_min) (the
+    `inv_kappa` of `kappa_symbols`).  `deflated_solve` never applies that M
+    but splits it, M = L L^H with L = B^{1/2} F^{-1} K^{-1/2}, into its
+    operator.
     """
 
     def __init__(self, pencil: Pencil, sigma: float = 0.0):
@@ -281,7 +282,6 @@ class ShiftedDiagonalPreconditioner:
         grid = pencil.grid
         sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
         kn, k_min = sym.kn, sym.k_min
-        self.inv_kappa = sym.inv_kappa
         shift = sigma * float(np.mean(pencil.weight))
         r_plus = 1.0 / np.maximum(np.abs(kn - shift), k_min)
         r_minus = 1.0 / np.maximum(np.abs(kn + shift), k_min)
@@ -689,33 +689,36 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
     projected resolvent uses; raw shifted solves at the nearly singular
     Rayleigh shift are unreliable with Krylov inner solves).  Quadratically
     convergent; the caller is responsible for the cluster staying simple.
+    Raises ConvergenceFailure when an inner solve fails (with its iterations
+    and residual) or when max_steps sweeps leave the residual above tol
+    (with the MINRES iterations of all sweeps).
     """
     _STATS["refine_pair_calls"] += 1
     pencil = Pencil(u, pair.psi.spin, exps)
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
 
     chi = pencil.from_spinor(pair.psi)
-    chi = chi / np.linalg.norm(chi)
-    lam = float(np.vdot(chi, pencil.apply(chi)).real)
-    best = (np.inf, chi, lam)
-    for _ in range(max_steps):
-        resid_vec = pencil.apply(chi) - lam * chi
+    iterations = 0
+    for sweep in range(max_steps + 1):
+        chi = chi / np.linalg.norm(chi)
+        c_chi = pencil.apply(chi)
+        lam = float(np.vdot(chi, c_chi).real)
+        resid_vec = c_chi - lam * chi
         resid = float(np.linalg.norm(resid_vec))
-        if resid < best[0]:
-            best = (resid, chi, lam)
         if resid <= eff_tol:
-            break
+            return EigenPair(lam, pencil.to_spinor(chi))
+        if sweep == max_steps:
+            raise ConvergenceFailure("pair refinement stalled", iterations=iterations,
+                                     residual=resid)
         deflate = kramers_deflation(pencil, chi)
         b = -deflate(resid_vec)
-        t, _info, _its, _resid = deflated_solve(pencil, deflate, lam, b,
-                                        0.05 * eff_tol / np.linalg.norm(b), 400)
-        chi_new = chi + t
-        chi = chi_new / np.linalg.norm(chi_new)
-        lam = float(np.vdot(chi, pencil.apply(chi)).real)
-    resid, chi, lam = best
-    if resid > eff_tol:
-        raise ConvergenceFailure("pair refinement stalled", residual=resid)
-    return EigenPair(lam, pencil.to_spinor(chi))
+        t, info, its, rel = deflated_solve(pencil, deflate, lam, b,
+                                           0.05 * eff_tol / np.linalg.norm(b), 400)
+        iterations += its
+        if info != 0:
+            raise ConvergenceFailure("pair refinement inner solve did not converge",
+                                     iterations=its, residual=rel)
+        chi = chi + t
 
 
 def spectrum_near(u: ScalarField, center: float, count: int,

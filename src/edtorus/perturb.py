@@ -60,8 +60,7 @@ def lambda_dot(u: ScalarField, udot: ScalarField, pair: EigenPair,
 
 def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
                         r: SpinorField, exps: ExponentTable,
-                        tol: float = 1e-9, gap: float | None = None,
-                        gap_tol: float | None = None) -> SpinorField:
+                        tol: float = 1e-9, gap: float | None = None) -> SpinorField:
     """Apply (u^{-2/(m-2)} D - lambda)^{-1} (I - P) to r.
 
     Solved as a deflated MINRES system on the symmetrized operator restricted
@@ -69,7 +68,7 @@ def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
     weighted-orthogonal to the eigenspace and satisfies the stated residual
     contract relative to |r|.
     """
-    if gap is not None and gap < (gap_tol if gap_tol is not None else default_gap_tol(lam)):
+    if gap is not None and gap < default_gap_tol(lam):
         raise SmallGap(f"resolvent gap {gap:.3e} below tolerance")
     pencil = Pencil(u, pair.psi.spin, exps)
     deflate = kramers_deflation(pencil, pencil.from_spinor(pair.psi))
@@ -96,8 +95,7 @@ def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
 
 
 def psi_dot(u: ScalarField, udot: ScalarField, pair: EigenPair, lamdot: float,
-            exps: ExponentTable, tol: float = 1e-9,
-            gap: float | None = None, gap_tol: float | None = None) -> SpinorField:
+            exps: ExponentTable, tol: float = 1e-9) -> SpinorField:
     """First-order eigenspinor rate; requires a quaternionic-simple pair.
 
     The resolvent term carries a plus sign: differentiating the constraint
@@ -113,7 +111,7 @@ def psi_dot(u: ScalarField, udot: ScalarField, pair: EigenPair, lamdot: float,
         raise ZeroEigenvalue("eigenspinor rate undefined at lambda = 0")
     drive = SpinorField(u.grid, pair.psi.spin,
                         (udot.values / u.values)[..., None] * pair.psi.values)
-    x = projected_resolvent(u, lam, pair, drive, exps, tol=tol, gap=gap, gap_tol=gap_tol)
+    x = projected_resolvent(u, lam, pair, drive, exps, tol=tol)
     vals = (lamdot / (2.0 * lam)) * pair.psi.values + (2.0 * lam / (exps.m - 2)) * x.values
     return SpinorField(u.grid, pair.psi.spin, vals)
 
@@ -167,8 +165,7 @@ def rk4_step(rate, t: float, dt: float, y: tuple) -> tuple:
 
 
 def eigenpath_step(u_of, udot_of, t: float, dt: float, pair: EigenPair,
-                   exps: ExponentTable, resolvent_tol: float = 1e-11,
-                   gap: float | None = None, gap_tol: float | None = None) -> EigenPair:
+                   exps: ExponentTable, resolvent_tol: float = 1e-11) -> EigenPair:
     """Advance the tracked eigenpair by one classical RK4 step.
 
     `u_of` and `udot_of` are time-fibered providers of the conformal factor
@@ -182,8 +179,7 @@ def eigenpath_step(u_of, udot_of, t: float, dt: float, pair: EigenPair,
         ud = udot_of(tt)
         pr = EigenPair(y[0], SpinorField(grid, spin, y[1]))
         ld = lambda_dot(u, ud, pr, exps)
-        pd = psi_dot(u, ud, pr, ld, exps, tol=resolvent_tol * 100,
-                     gap=gap, gap_tol=gap_tol)
+        pd = psi_dot(u, ud, pr, ld, exps, tol=resolvent_tol * 100)
         return ld, pd.values
 
     lam1, psi1 = rk4_step(rate, t, dt, (pair.lam, pair.psi.values))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -216,13 +217,15 @@ class TestFlowCommand:
         assert np.abs(vols - vols[0]).max() / vols[0] <= 1e-6
         assert (tmp_path / "out" / "u_000000.edf").exists()
         assert (tmp_path / "out" / "psi_000000.edf").exists()
-        # one projected-resolvent solve per RK4 stage, one window solve
+        # a pair refinement at RK4 stages 2-4 and at the accepted state of
+        # every step; a window solve at the start and every 3rd step
+        steps = len(rows) - 1
         stats = json.loads((tmp_path / "out" / "summary.json").read_text())["solver_stats"]
-        assert stats["window_solves"] == 1
-        assert stats["minres_solves"] >= 4 * (len(rows) - 1)
+        assert stats["window_solves"] == 1 + steps // 3
+        assert stats["minres_solves"] >= 4 * steps
         assert stats["minres_iterations"] > stats["minres_solves"]
         assert stats["lobpcg_iterations"] > 0
-        assert stats["refine_pair_calls"] == (len(rows) - 1) // 3
+        assert stats["refine_pair_calls"] == 4 * steps
 
     def test_rerun_byte_identical(self, tmp_path):
         (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out1"))
@@ -261,9 +264,36 @@ class TestFlowCommand:
         assert summary["steps"] == 0
         assert summary["abort_reason"] == f"{type(error).__name__}: {error}"
 
+    def test_gap_collapse_records_small_gap(self, tmp_path, monkeypatch):
+        # the first gap re-measurement (after step 3) finds the tracked
+        # cluster no longer simple: a mathematical abort, exit 0, with the
+        # trajectory up to step 2 and the abort reason written
+        original = edtorus.flow.simplicity_gap
+        reports = []
+
+        def collapsing(*args, **kwargs):
+            report = original(*args, **kwargs)
+            reports.append(report)
+            if len(reports) == 1:  # the initial state
+                return report
+            return dataclasses.replace(report, kind="indeterminate",
+                                       exterior_gap=1e-3 * report.exterior_gap)
+
+        monkeypatch.setattr(edtorus.flow, "simplicity_gap", collapsing)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out"))
+        assert main(["flow", "--config", "f.cfg"]) == EXIT_OK
+        assert len(reports) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["abort_reason"].startswith("SmallGap: tracked cluster no longer simple")
+        assert summary["steps"] == 2
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 4  # header, the initial state and steps 1-2
+
     def test_inner_solver_cap_records_iterations(self, tmp_path, monkeypatch):
-        # MINRES capped at 3 iterations fails the first projected resolvent of
-        # the first step; the abort carries the solver's iterations and residual
+        # MINRES capped at 3 iterations fails the first pair refinement (RK4
+        # stage 2 of the first step); the abort carries the solver's
+        # iterations and residual
         original = edtorus.pencil.minres_hermitian
 
         def capped(*args, **kwargs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edtorus.dirac import _apply_symbol, flat_spectrum_oracle, quaternionic_j
-from edtorus.errors import GridTooLarge, NonPositiveConformalFactor
+from edtorus.errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor
 from edtorus.fields import (
     SpinorField,
     SpinStructure,
@@ -15,7 +15,6 @@ from edtorus.fields import (
 from edtorus.pencil import (
     EigenPair,
     Pencil,
-    ShiftedDiagonalPreconditioner,
     dense_oracle,
     deflated_solve,
     kappa_symbols,
@@ -25,6 +24,7 @@ from edtorus.pencil import (
     rigidity_probe,
     simplicity_gap,
     solve_window,
+    solver_stats,
     spectrum_near,
     splitting_probe,
 )
@@ -131,15 +131,13 @@ class TestMinres:
 
 
 class TestKappaSymbols:
-    def test_cached_read_only_and_shared(self, grid6, spin, exps):
+    def test_cached_read_only_and_shared(self, grid6, spin):
         sym = kappa_symbols(grid6.n, grid6.length, spin.shift)
         assert kappa_symbols(grid6.n, grid6.length, spin.shift) is sym
         for arr in (sym.kn, sym.inv_kappa, sym.kih, sym.s_diag, sym.s_off):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
-        prec = ShiftedDiagonalPreconditioner(Pencil(generic_u(grid6), spin, exps))
-        assert prec.inv_kappa is sym.inv_kappa
 
     def test_split_symbol_is_scaled_sigma_kappa(self, grid6, spin, rng):
         sym = kappa_symbols(grid6.n, grid6.length, spin.shift)
@@ -398,3 +396,19 @@ class TestRefinePair:
         refined = refine_pair(u, rough, exps, tol=1e-10)
         assert abs(refined.lam - lam) < 1e-10
         assert refined.constraint_residual(u, exps) < 1e-10
+
+    def test_stall_carries_minres_iterations(self, grid6, spin, exps):
+        # one sweep cannot reach 1e-14 from a pair perturbed at 1e-3: the
+        # failure carries the MINRES iterations that sweep spent
+        u = generic_u(grid6)
+        dense = dense_oracle(u)
+        pair = dense.pair(int(dense.nearest_indices(0.88, 1)[0]))
+        rng = np.random.default_rng(5)
+        noise = 1e-3 * rng.standard_normal(pair.psi.values.shape)
+        rough = EigenPair(pair.lam, SpinorField(grid6, spin, pair.psi.values + noise))
+        before = solver_stats()["minres_iterations"]
+        with pytest.raises(ConvergenceFailure, match="stalled") as err:
+            refine_pair(u, rough, exps, tol=1e-14, max_steps=1)
+        spent = solver_stats()["minres_iterations"] - before
+        assert err.value.iterations == spent > 0
+        assert err.value.residual > 1e-14
