@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,9 +137,18 @@ def _validate(cfg: RunConfig) -> None:
     shift = _parse_shift(cfg["spin.shift"])
     if any(s not in (0.0, 0.5) for s in shift):
         raise ValidationError("spin.shift components must be 0 or 0.5", key="spin.shift")
-    if cfg["initial.kind"] not in ("constant", "trig", "file"):
-        raise ValidationError(f"initial.kind must be constant|trig|file, got {cfg['initial.kind']!r}",
+    kind, terms = cfg["initial.kind"], cfg["initial.terms"]
+    if kind not in ("constant", "trig", "file"):
+        raise ValidationError(f"initial.kind must be constant|trig|file, got {kind!r}",
                               key="initial.kind")
+    if kind == "constant" and terms and not 0 < cfg.get_float("initial.terms") < math.inf:
+        raise ValidationError(f"constant initial.terms must be a finite number > 0, got {terms!r}",
+                              key="initial.terms")
+    if kind == "trig" and not terms.startswith("random"):
+        _parse_trig_terms(terms)
+    elif kind == "trig" and not re.fullmatch(r"random(:0*[1-9][0-9]*)?", terms):
+        raise ValidationError(f"initial.terms must be random or random:<n>, n >= 1, got {terms!r}",
+                              key="initial.terms")
     cfg.get_float("eigen.target")
     if cfg.get_float("eigen.gap_tol") <= 0:
         raise ValidationError("eigen.gap_tol must be positive", key="eigen.gap_tol")
@@ -185,10 +196,10 @@ def _parse_trig_terms(text: str):
             amp_s, modes_s = chunk.split(":")
             amp = float(amp_s)
             modes = tuple(int(m) for m in modes_s.split(","))
-            if len(modes) != 3:
+            if len(modes) != 3 or not math.isfinite(amp):
                 raise ValueError
         except ValueError:
-            raise ValidationError(f"bad trig term {chunk!r} (want a:k1,k2,k3)",
+            raise ValidationError(f"bad initial.terms term {chunk!r} (want a:k1,k2,k3, a finite)",
                                   key="initial.terms") from None
         terms.append((amp, modes))
     return terms
@@ -198,11 +209,7 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> ScalarField:
     kind = cfg["initial.kind"]
     spec = cfg["initial.terms"]
     if kind == "constant":
-        value = float(spec) if spec else 1.0
-        if value <= 0:
-            raise ValidationError("constant initial value must be positive",
-                                  key="initial.terms")
-        return scalar_field(grid, np.full(grid.shape, value))
+        return scalar_field(grid, np.full(grid.shape, float(spec) if spec else 1.0))
     if kind == "file":
         try:
             f = read_snapshot(spec, length=grid.length)

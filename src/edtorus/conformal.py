@@ -19,36 +19,22 @@ from .fields import (
     quadrature,
     require_positive,
     scalar_field,
-    scalar_momentum,
+    scalar_symbols,
 )
-
-
-def _momentum(grid: TorusGrid):
-    return scalar_momentum(grid.n, grid.length)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """Flat Laplace-Beltrami operator, Fourier multiplier -|kappa|^2."""
-    k1, k2, k3 = _momentum(f.grid)
-    mult = -(k1 ** 2 + k2 ** 2 + k3 ** 2)
-    return scalar_field(f.grid, grid_ifft(mult * grid_fft(f.values)).real)
+    k_sq = scalar_symbols(f.grid.n, f.grid.length).k_sq
+    return scalar_field(f.grid, grid_ifft(-k_sq * grid_fft(f.values)).real)
 
 
 def gradient(f: ScalarField):
-    """Spectral gradient components (3 arrays of shape (n, n, n)).
-
-    The unpaired Nyquist mode is dropped from the odd multiplier (its exact
-    derivative aliases to zero on the grid); this keeps the discrete
-    integration-by-parts identity int u L_g u = c_m int |grad u|^2 exact for
-    band-limited fields.
-    """
+    """Spectral gradient components (3 arrays of shape (n, n, n)), the
+    Nyquist-dropped multipliers `ScalarSymbols.ik`."""
     fh = grid_fft(f.values)
-    nyq = -(2.0 * np.pi / f.grid.length) * (f.grid.n // 2)
-    out = []
-    for k in _momentum(f.grid):
-        mult = np.where(k == nyq, 0.0, k)
-        out.append(grid_ifft(1j * mult * fh).real)
-    return tuple(out)
+    return tuple(grid_ifft(ik * fh).real
+                 for ik in scalar_symbols(f.grid.n, f.grid.length).ik)
 
 
 def grad_dot(f: ScalarField, g: ScalarField) -> np.ndarray:

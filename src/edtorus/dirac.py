@@ -28,6 +28,9 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
+#: grid axes of an unpacked spinor array or a batch of them, (..., n, n, n, 2)
+SPINOR_GRID_AXES = (-4, -3, -2)
+
 
 @dataclass(frozen=True)
 class CliffordFrame:
@@ -59,13 +62,19 @@ def _apply_symbol(k1, k2, k3, comp0, comp1):
     return out0, out1
 
 
-def apply_dirac(psi: SpinorField) -> SpinorField:
-    """Spectral Dirac action; hermitian in the unweighted L^2 spinor product."""
-    k1, k2, k3 = spinor_momentum(psi.grid.n, psi.grid.length, psi.spin.shift)
-    hat = grid_fft(psi.values)
+def dirac_values(grid: TorusGrid, spin: SpinStructure, values: np.ndarray) -> np.ndarray:
+    """Raw-array form of the Dirac action, sigma.kappa in Fourier space, on
+    values of shape (..., n, n, n, 2) (no field wrapping)."""
+    k1, k2, k3 = spinor_momentum(grid.n, grid.length, spin.shift)
+    hat = grid_fft(values, axes=SPINOR_GRID_AXES)
     out = np.empty_like(hat)
     out[..., 0], out[..., 1] = _apply_symbol(k1, k2, k3, hat[..., 0], hat[..., 1])
-    return SpinorField(psi.grid, psi.spin, grid_ifft(out))
+    return grid_ifft(out, axes=SPINOR_GRID_AXES)
+
+
+def apply_dirac(psi: SpinorField) -> SpinorField:
+    """Spectral Dirac action; hermitian in the unweighted L^2 spinor product."""
+    return SpinorField(psi.grid, psi.spin, dirac_values(psi.grid, psi.spin, psi.values))
 
 
 def flat_spectrum_oracle(grid: TorusGrid, spin: SpinStructure, window):

@@ -224,19 +224,74 @@ def _integer_modes(n: int):
 
 
 @lru_cache(maxsize=None)
-def scalar_momentum(n: int, length: float):
-    """Angular wavevector components (2*pi/L)*k for scalar fields."""
-    scale = TWO_PI / length
-    return tuple(_freeze(scale * k) for k in _integer_modes(n))
-
-
-@lru_cache(maxsize=None)
 def spinor_momentum(n: int, length: float, shift: tuple):
     """Shifted angular wavevector components (2*pi/L)*(k + delta) for spinors."""
     scale = TWO_PI / length
     return tuple(
         _freeze(scale * (k + d)) for k, d in zip(_integer_modes(n), shift)
     )
+
+
+# ---------------------------------------------------------------------------
+# The u-independent Fourier multipliers, built once per grid (and spin
+# structure) and read-only.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScalarSymbols:
+    """Fourier multipliers of scalar fields, read-only.
+
+    k_sq = |kappa|^2, so the flat Laplacian is -k_sq.  ik = (i kappa_1,
+    i kappa_2, i kappa_3), the gradient, with the unpaired Nyquist mode
+    dropped: its exact derivative aliases to zero on the grid, and dropping
+    it keeps the discrete integration-by-parts identity
+    int u L_g u = c_m int |grad u|^2 exact for band-limited fields.
+    """
+
+    k_sq: np.ndarray
+    ik: tuple
+
+
+@lru_cache(maxsize=None)
+def scalar_symbols(n: int, length: float) -> ScalarSymbols:
+    """The ScalarSymbols of one grid, built once."""
+    modes = _integer_modes(n)
+    k1, k2, k3 = ((TWO_PI / length) * m for m in modes)
+    ik = tuple(_freeze(1j * np.where(m == -(n // 2), 0.0, k)) for m, k in zip(modes, (k1, k2, k3)))
+    return ScalarSymbols(_freeze(k1 ** 2 + k2 ** 2 + k3 ** 2), ik)
+
+
+@dataclass(frozen=True)
+class KappaSymbols:
+    """u-independent Fourier symbols of the spinor preconditioners, read-only.
+
+    K = max(|kappa|, k_min) with k_min the smallest nonzero |kappa|.  The
+    split operator of `pencil.deflated_solve` uses kih = K^{-1/2} and the
+    symbol S = K^{-1/2} (sigma.kappa) K^{-1/2} = K^{-1} (sigma.kappa) as the
+    pair s_diag = (k3, -k3) / K, s_off = (k1 - i k2, k1 + i k2) / K, so that
+    (S z)_c = s_diag_c z_c + s_off_c z_{1-c}.  kih, s_diag and s_off have the
+    full spinor shape (n, n, n, 2) and complex dtype, so their products with
+    spinors in the iteration neither broadcast nor cast.
+    """
+
+    kn: np.ndarray         # |kappa|, (n, n, n)
+    k_min: float
+    kih: np.ndarray
+    s_diag: np.ndarray
+    s_off: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
+    """The KappaSymbols of one grid and spin structure, built once."""
+    k1, k2, k3 = spinor_momentum(n, length, shift)
+    kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
+    k_min = float(kn[kn > 0].min())
+    inv_k = 1.0 / np.maximum(kn, k_min)
+    kih = np.sqrt(inv_k)[..., None].repeat(2, axis=-1).astype(np.complex128)
+    s_diag = np.stack([k3 * inv_k, -k3 * inv_k], axis=-1).astype(np.complex128)
+    s_off = np.stack([(k1 - 1j * k2) * inv_k, (k1 + 1j * k2) * inv_k], axis=-1)
+    return KappaSymbols(_freeze(kn), k_min, _freeze(kih), _freeze(s_diag), _freeze(s_off))
 
 
 def fourier_transform(f):

@@ -72,6 +72,9 @@ from .perturb import (
     tracked_pair,
 )
 
+#: the flow aborts with PositivityLoss when min u falls below this floor
+POSITIVITY_FLOOR = 1e-6
+
 #: identifiers of the formula variants exercised, for machine-readable audit
 FORMULA_VERSIONS = {
     "flow_rhs": "u-form-ratio-v1",
@@ -187,7 +190,6 @@ class FlowConfig:
     cfl: float = 0.2                    # precondition coefficient (h^2 form)
     stability_factor: float = 0.05      # adaptive coefficient, below RK4 limit
     projection_period: int = 50         # steps between window gap re-measurements
-    eps_pos: float = 1e-6
     gap_tol: float = 1e-3               # relative: gap >= gap_tol * (1 + |lam|)
     scheme: str = "rk4_explicit"        # rk4_explicit | imex
     eigen_count: int = 12
@@ -197,8 +199,6 @@ class FlowConfig:
     def __post_init__(self):
         if self.projection_period < 1:
             raise ValueError("projection period must be >= 1")
-        if self.eps_pos <= 0:
-            raise ValueError("positivity floor must be positive")
         if self.scheme not in ("rk4_explicit", "imex"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -208,9 +208,9 @@ def cfl_bound(u: ScalarField, exps: ExponentTable, cfl: float) -> float:
     return cfl * u.grid.h ** 2 * float((u.values ** exps.p4).min()) / exps.c_m
 
 
-def _check_positivity(u: ScalarField, eps_pos: float) -> None:
-    if u.min() < eps_pos:
-        raise PositivityLoss(f"min u = {u.min():.3e} below floor {eps_pos:.1e}")
+def _check_positivity(u: ScalarField) -> None:
+    if u.min() < POSITIVITY_FLOOR:
+        raise PositivityLoss(f"min u = {u.min():.3e} below floor {POSITIVITY_FLOOR:.1e}")
 
 
 def _pair_at(u: ScalarField, guess: EigenPair, exps: ExponentTable,
@@ -234,7 +234,7 @@ def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
         (u_vals,) = y
         _require_finite(f"RK4 stage state at t = {t!r}", u_vals)
         u = scalar_field(grid, u_vals)
-        _check_positivity(u, config.eps_pos)
+        _check_positivity(u)
         if not pairs:
             pair = state.pair
         else:
@@ -250,7 +250,7 @@ def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
     (u1,) = rk4_step(rate, state.t, dt, (state.u.values,))
     _require_finite(f"RK4 step to t = {state.t + dt!r}", u1)
     u_new = scalar_field(grid, u1)
-    _check_positivity(u_new, config.eps_pos)
+    _check_positivity(u_new)
     return FlowState(state.t + dt, u_new, _pair_at(u_new, pairs[-1], exps, config),
                      state.gap, stage_pairs=tuple(pairs))
 
@@ -270,7 +270,7 @@ def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
     u1_vals = parabolic_solve(problem, "backward_euler").states[-1]
     _require_finite(f"IMEX step to t = {state.t + dt!r}", u1_vals)
     u_new = scalar_field(grid, u1_vals)
-    _check_positivity(u_new, config.eps_pos)
+    _check_positivity(u_new)
     return FlowState(state.t + dt, u_new, _pair_at(u_new, state.pair, exps, config),
                      state.gap)
 
@@ -366,7 +366,7 @@ def prepare_initial_state(u0: ScalarField, target: float, exps: ExponentTable,
     rejection: the flat cluster has complex multiplicity 8).
     """
     spin = spin or SpinStructure()
-    _check_positivity(u0, config.eps_pos)
+    _check_positivity(u0)
     window, lam_near, report = _classify_cluster(u0, target, exps, config, spin)
     if abs(lam_near) < 1e-8:
         raise NoSimpleEigenvalue("nearest eigenvalue is zero")

@@ -22,11 +22,12 @@ from .errors import ConvergenceFailure, NonPositiveDiffusivity, ParameterTooSmal
 from .fields import (
     ScalarField,
     TorusGrid,
+    _integer_modes,
     grid_fft,
     grid_ifft,
     integrate_values,
     scalar_field,
-    scalar_momentum,
+    scalar_symbols,
 )
 
 Provider = Callable[[float], np.ndarray]
@@ -146,7 +147,7 @@ def random_band_limited(grid: TorusGrid, rng: np.random.Generator,
     """Random real field with modes supported below max_mode per axis."""
     kmax = max_mode if max_mode is not None else max(1, grid.n // 4)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    k1, k2, k3 = np.meshgrid(*(np.fft.fftfreq(grid.n, d=1.0 / grid.n),) * 3, indexing="ij")
+    k1, k2, k3 = _integer_modes(grid.n)
     mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax) & (np.abs(k3) <= kmax)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     coeffs[mask] = vals[mask]
@@ -238,47 +239,42 @@ def _spatial_operator(problem: ParabolicProblem, w: np.ndarray, t: float) -> np.
     return -problem.diffusivity(t) * lap + problem.operator.apply(w, t)
 
 
-class _StepSolver:
-    """Krylov solve of (I + dt*theta*G_t) w = rhs with a Fourier-diagonal
-    preconditioner built from the mean diffusivity."""
+#: GMRES settings of the implicit step, and the relative true residual
+#: |(I + theta dt G) w - rhs| / |rhs| a step must reach
+STEP_GMRES_RTOL = 1e-13
+STEP_GMRES_RESTART = 60
+STEP_GMRES_MAXITER = 40
+STEP_RESIDUAL_TOL = 1e-10
 
-    def __init__(self, problem: ParabolicProblem, theta_dt: float, t: float,
-                 rtol: float = 1e-13, restart: int = 60, maxiter: int = 40):
-        self.problem = problem
-        self.theta_dt = theta_dt
-        self.t = t
-        grid = problem.grid
-        k1, k2, k3 = scalar_momentum(grid.n, grid.length)
-        abar = float(np.mean(problem.diffusivity(t)))
-        self.symbol = 1.0 / (1.0 + theta_dt * abar * (k1 ** 2 + k2 ** 2 + k3 ** 2))
-        self.rtol = rtol
-        self.restart = restart
-        self.maxiter = maxiter
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        w = x.reshape(self.problem.grid.shape)
-        out = w + self.theta_dt * _spatial_operator(self.problem, w, self.t)
-        return out.reshape(-1)
+def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
+                rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
+    """GMRES solve of (I + theta_dt G_t) w = rhs (x0 None: zero start),
+    preconditioned by 1 / (1 + theta_dt abar |kappa|^2), abar the mean
+    diffusivity."""
+    shape = problem.grid.shape
+    k_sq = scalar_symbols(problem.grid.n, problem.grid.length).k_sq
+    abar = float(np.mean(problem.diffusivity(t)))
+    symbol = 1.0 / (1.0 + theta_dt * abar * k_sq)
 
-    def precond(self, x: np.ndarray) -> np.ndarray:
-        w = x.reshape(self.problem.grid.shape)
-        return grid_ifft(self.symbol * grid_fft(w)).real.reshape(-1)
+    def matvec(x):
+        w = x.reshape(shape)
+        return (w + theta_dt * _spatial_operator(problem, w, t)).reshape(-1)
 
-    def solve(self, rhs: np.ndarray, x0: Optional[np.ndarray] = None,
-              tol: float = 1e-10) -> np.ndarray:
-        n = rhs.size
-        A = LinearOperator((n, n), matvec=self.matvec, dtype=np.float64)
-        M = LinearOperator((n, n), matvec=self.precond, dtype=np.float64)
-        b = rhs.reshape(-1)
-        x, info = gmres(A, b, x0=None if x0 is None else x0.reshape(-1),
-                        rtol=self.rtol, atol=0.0, restart=self.restart,
-                        maxiter=self.maxiter, M=M)
-        resid = np.linalg.norm(self.matvec(x) - b)
-        scale = max(np.linalg.norm(b), 1e-300)
-        if info != 0 or resid > tol * scale:
-            raise ConvergenceFailure("implicit step solve failed",
-                                     residual=float(resid / scale))
-        return x.reshape(self.problem.grid.shape)
+    def precond(x):
+        return grid_ifft(symbol * grid_fft(x.reshape(shape))).real.reshape(-1)
+
+    n = rhs.size
+    A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    M = LinearOperator((n, n), matvec=precond, dtype=np.float64)
+    b = rhs.reshape(-1)
+    x, info = gmres(A, b, x0=x0, rtol=STEP_GMRES_RTOL, atol=0.0, restart=STEP_GMRES_RESTART,
+                    maxiter=STEP_GMRES_MAXITER, M=M)
+    resid = np.linalg.norm(matvec(x) - b)
+    scale = max(np.linalg.norm(b), 1e-300)
+    if info != 0 or resid > STEP_RESIDUAL_TOL * scale:
+        raise ConvergenceFailure("implicit step solve failed", residual=float(resid / scale))
+    return x.reshape(shape)
 
 
 @dataclass
@@ -293,14 +289,18 @@ class SolutionRecord:
 
 
 def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
-          step_tol: float = 1e-10, x0_mode: str = "zero") -> SolutionRecord:
-    """March the implicit scheme over the uniform time grid.
+          x0_mode: str = "zero") -> SolutionRecord:
+    """March the implicit scheme over the uniform time grid; each step's
+    GMRES starts from zero, or (x0_mode = "random") from a seeded random
+    vector.
 
     backward_euler:  (I + dt G_{t+}) w+ = w + dt f(t+)
     crank_nicolson:  (I + dt/2 G_{t+}) w+ = w - dt/2 G_t w + dt/2 (f_t + f_{t+})
     """
     if scheme not in ("backward_euler", "crank_nicolson"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    if x0_mode not in ("zero", "random"):
+        raise ValueError(f"unknown x0_mode {x0_mode!r}")
     delta = problem.min_diffusivity()
     if delta <= 0:
         raise NonPositiveDiffusivity(f"min A = {delta:.3e}")
@@ -320,16 +320,8 @@ def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
         else:
             rhs = w - 0.5 * dt * _spatial_operator(problem, w, t0) \
                 + 0.5 * dt * (problem.force(t0) + problem.force(t1))
-        solver = _StepSolver(problem, theta * dt, t1)
-        if x0_mode == "zero":
-            x0 = None
-        elif x0_mode == "previous":
-            x0 = w.reshape(-1)
-        elif x0_mode == "random":
-            x0 = rng.standard_normal(problem.grid.num_points)
-        else:
-            raise ValueError(f"unknown x0_mode {x0_mode!r}")
-        states[k + 1] = solver.solve(rhs, x0=x0, tol=step_tol)
+        x0 = rng.standard_normal(problem.grid.num_points) if x0_mode == "random" else None
+        states[k + 1] = _step_solve(problem, theta * dt, t1, rhs, x0)
     return SolutionRecord(problem, scheme, times, states)
 
 

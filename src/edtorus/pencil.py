@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import zaxpy
 
-from .dirac import _apply_symbol, apply_dirac, j_values
+from .dirac import SPINOR_GRID_AXES, apply_dirac, dirac_values, j_values
 from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor, WindowTooNarrow
 from .fields import (
     ExponentTable,
     ScalarField,
     SpinorField,
     SpinStructure,
-    _freeze,
     _integer_modes,
     grid_fft,
     grid_ifft,
+    kappa_symbols,
     require_positive,
     spinor_momentum,
     weighted_spinor_inner,
@@ -37,9 +36,6 @@ CLUSTER_REL_TOL = 1e-6
 
 #: default exterior gap below which a cluster is not called simple
 DEFAULT_GAP_TOL = 1e-3
-
-#: grid axes of an unpacked spinor array or a batch of them, (..., n, n, n, 2)
-SPINOR_GRID_AXES = (-4, -3, -2)
 
 #: process-local counts of solver work, in report order (`solver_stats`)
 _STATS = dict.fromkeys(("minres_solves", "minres_iterations", "window_solves",
@@ -70,20 +66,11 @@ class Pencil:
         self.weight = u.values ** exps.p1
         self.b_half = u.values ** (0.5 * exps.p1)
         self.dim = 2 * self.grid.num_points
-        self._kappa = spinor_momentum(self.grid.n, self.grid.length, spin.shift)
-
-    # -- raw array plumbing ------------------------------------------------
-
-    def _dirac_raw(self, values: np.ndarray) -> np.ndarray:
-        """sigma.kappa in Fourier space; values has shape (..., n, n, n, 2)."""
-        hat = grid_fft(values, axes=SPINOR_GRID_AXES)
-        out = np.empty_like(hat)
-        out[..., 0], out[..., 1] = _apply_symbol(*self._kappa, hat[..., 0], hat[..., 1])
-        return grid_ifft(out, axes=SPINOR_GRID_AXES)
 
     def _c_raw(self, values: np.ndarray) -> np.ndarray:
+        """C on values of shape (..., n, n, n, 2)."""
         scaled = values / self.b_half[..., None]
-        return self._dirac_raw(scaled) / self.b_half[..., None]
+        return dirac_values(self.grid, self.spin, scaled) / self.b_half[..., None]
 
     # -- packed vector interface --------------------------------------------
     # A packed vector has shape (dim,); a block of them is (dim, k), one per
@@ -218,41 +205,6 @@ def minres_hermitian(apply_c, b: np.ndarray, rtol: float = 1e-11, maxiter: int =
     return x, 1, maxiter, residual(x)
 
 
-@dataclass(frozen=True)
-class KappaSymbols:
-    """u-independent Fourier symbols of the preconditioners, read-only.
-
-    K = max(|kappa|, k_min) with k_min the smallest nonzero |kappa|.  The
-    split operator of `deflated_solve` uses kih = K^{-1/2} and the symbol
-    S = K^{-1/2} (sigma.kappa) K^{-1/2} = K^{-1} (sigma.kappa) as the pair
-    s_diag = (k3, -k3) / K, s_off = (k1 - i k2, k1 + i k2) / K, so that
-    (S z)_c = s_diag_c z_c + s_off_c z_{1-c}.  kih, s_diag and s_off have the
-    full spinor shape (n, n, n, 2) and complex dtype, so their products with
-    spinors in the iteration neither broadcast nor cast.
-    """
-
-    kn: np.ndarray         # |kappa|, (n, n, n)
-    k_min: float
-    inv_kappa: np.ndarray  # K^{-1}, (n, n, n, 1)
-    kih: np.ndarray
-    s_diag: np.ndarray
-    s_off: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
-    """The KappaSymbols of one grid and spin structure, built once."""
-    k1, k2, k3 = spinor_momentum(n, length, shift)
-    kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
-    k_min = float(kn[kn > 0].min())
-    inv_k = 1.0 / np.maximum(kn, k_min)
-    kih = np.sqrt(inv_k)[..., None].repeat(2, axis=-1).astype(np.complex128)
-    s_diag = np.stack([k3 * inv_k, -k3 * inv_k], axis=-1).astype(np.complex128)
-    s_off = np.stack([(k1 - 1j * k2) * inv_k, (k1 + 1j * k2) * inv_k], axis=-1)
-    return KappaSymbols(_freeze(kn), k_min, _freeze(inv_k[..., None]), _freeze(kih),
-                        _freeze(s_diag), _freeze(s_off))
-
-
 class ShiftedDiagonalPreconditioner:
     """Hermitian positive-definite approximation of |C - sigma|^{-1}.
 
@@ -270,16 +222,11 @@ class ShiftedDiagonalPreconditioner:
     branch at sigma wbar and on the harmonic mode of shift (0, 0, 0).  For
     constant u, M is exactly |C - sigma|^{-1} off the floored modes.  The
     folded window solver on (C - sigma)^2 applies M^2 at sigma = target.
-
-    At sigma = 0, R is the scalar K^{-1}, K = max(|kappa|, k_min) (the
-    `inv_kappa` of `kappa_symbols`).  `deflated_solve` never applies that M
-    but splits it, M = L L^H with L = B^{1/2} F^{-1} K^{-1/2}, into its
-    operator.
     """
 
     def __init__(self, pencil: Pencil, sigma: float = 0.0):
-        k1, k2, k3 = pencil._kappa
         grid = pencil.grid
+        k1, k2, k3 = spinor_momentum(grid.n, grid.length, pencil.spin.shift)
         sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
         kn, k_min = sym.kn, sym.k_min
         shift = sigma * float(np.mean(pencil.weight))
@@ -465,8 +412,8 @@ def _flat_guess(pencil: Pencil, sigma: float, count: int) -> np.ndarray:
     a cheap analytic warm start for cold window solves."""
     grid = pencil.grid
     wbar = float(np.mean(pencil.weight))
-    k1, k2, k3 = pencil._kappa
-    kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
+    k1, k2, k3 = spinor_momentum(grid.n, grid.length, pencil.spin.shift)
+    kn = kappa_symbols(grid.n, grid.length, pencil.spin.shift).kn
     flat = np.concatenate([(kn / wbar).ravel(), (-kn / wbar).ravel()])
     order = np.argsort(np.abs(flat - sigma), kind="stable")[:count]
     npts = grid.num_points

@@ -136,6 +136,22 @@ class TestInitialData:
         assert main(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("kind, terms", [
+        ("constant", "abc"), ("constant", "nan"), ("constant", "inf"), ("constant", "-1"),
+        ("trig", "random:abc"), ("trig", "random:0"), ("trig", "random:-2"), ("trig", "randomx"),
+        ("trig", "nan:1,0,0"), ("trig", "0.1:1,0,0;inf:0,1,0"), ("trig", "0.1:1,0"),
+    ])
+    def test_malformed_terms_are_config_errors(self, tmp_path, capsys, kind, terms):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"grid.n = 6\ninitial.kind = {kind}\ninitial.terms = {terms}\n"
+                       f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "initial.terms" in capsys.readouterr().err
+        with pytest.raises(ValidationError) as err:
+            parse_config_text(cfg.read_text())
+        assert err.value.key == "initial.terms"
+
+
 class TestSpectrumCommand:
     def test_flat_cluster_reported(self, tmp_path):
         (tmp_path / "c.cfg").write_text(

@@ -19,6 +19,7 @@ from edtorus.fields import (
     quadrature,
     read_snapshot,
     scalar_field,
+    scalar_symbols,
     weighted_spinor_inner,
     weighted_spinor_inner_c,
     write_snapshot,
@@ -110,6 +111,19 @@ class TestFourier:
         psi = random_spinor(grid8, spin, rng)
         back = inverse_fourier_spinor(grid8, spin, fourier_transform(psi))
         assert np.abs(back.values - psi.values).max() <= 1e-12 * np.abs(psi.values).max()
+
+    def test_scalar_symbols(self):
+        # |kappa|^2 and i kappa with the Nyquist plane of each axis zeroed,
+        # against the integer modes on a side other than 2 pi
+        n, length = 6, 3.0
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        modes = np.meshgrid(k, k, k, indexing="ij")
+        kappa = [(2 * np.pi / length) * m for m in modes]
+        sym = scalar_symbols(n, length)
+        assert np.array_equal(sym.k_sq, kappa[0] ** 2 + kappa[1] ** 2 + kappa[2] ** 2)
+        for ik, kap, m in zip(sym.ik, kappa, modes):
+            assert np.all(ik[m == -n // 2] == 0)
+            assert np.array_equal(ik[m != -n // 2], 1j * kap[m != -n // 2])
 
     def test_parseval(self, grid8, rng):
         # band-limited random field: h^3 sum f^2 = L^3 sum |fhat|^2

@@ -9,6 +9,8 @@ from edtorus.fields import (
     TorusGrid,
     constant_field,
     field_from_function,
+    kappa_symbols,
+    scalar_symbols,
     spinor_momentum,
     weighted_spinor_inner_c,
 )
@@ -17,7 +19,6 @@ from edtorus.pencil import (
     Pencil,
     dense_oracle,
     deflated_solve,
-    kappa_symbols,
     kramers_deflation,
     minres_hermitian,
     refine_pair,
@@ -134,7 +135,9 @@ class TestKappaSymbols:
     def test_cached_read_only_and_shared(self, grid6, spin):
         sym = kappa_symbols(grid6.n, grid6.length, spin.shift)
         assert kappa_symbols(grid6.n, grid6.length, spin.shift) is sym
-        for arr in (sym.kn, sym.inv_kappa, sym.kih, sym.s_diag, sym.s_off):
+        scalar = scalar_symbols(grid6.n, grid6.length)
+        assert scalar_symbols(grid6.n, grid6.length) is scalar
+        for arr in (sym.kn, sym.kih, sym.s_diag, sym.s_off, scalar.k_sq, *scalar.ik):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -143,11 +146,13 @@ class TestKappaSymbols:
         sym = kappa_symbols(grid6.n, grid6.length, spin.shift)
         z = rng.standard_normal(grid6.shape + (2,)) + 1j * rng.standard_normal(grid6.shape + (2,))
         kappa = spinor_momentum(grid6.n, grid6.length, spin.shift)
-        scaled = [k * sym.inv_kappa[..., 0] for k in kappa]
+        inv_kappa = 1.0 / np.maximum(sym.kn, sym.k_min)
+        scaled = [k * inv_kappa for k in kappa]
         expect = np.stack(_apply_symbol(*scaled, z[..., 0], z[..., 1]), axis=-1)
         got = sym.s_diag * z + sym.s_off * z[..., ::-1]
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
-        assert np.allclose(sym.kih ** 2, np.repeat(sym.inv_kappa, 2, axis=-1), rtol=1e-15, atol=0)
+        assert np.allclose(sym.kih ** 2, np.repeat(inv_kappa[..., None], 2, axis=-1),
+                           rtol=1e-15, atol=0)
 
 
 class TestDeflatedSolve:
