@@ -43,8 +43,8 @@ from .fields import (
     write_snapshot,
 )
 from .flow import FORMULA_VERSIONS, FlowConfig, TRAJECTORY_COLUMNS, run as flow_run
-from .pencil import dense_oracle, reset_solver_stats, solve_window, solver_stats
-from .perturb import lambda_dot, lambda_dot_fd_study, psi_dot_fd_study, tracked_pair
+from .pencil import reset_solver_stats, solve_window, solver_stats
+from .perturb import fd_study, lambda_dot
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -412,12 +412,12 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
     udot = field_from_function(
         grid, lambda x, y, z: np.cos(x) + 0.4 * np.cos(y) + 0.3 * np.cos(x + z))
 
-    lam_rep = lambda_dot_fd_study(u, udot, 0.88, exps)
-    psi_rep = psi_dot_fd_study(u, udot, 0.88, exps)
+    study = fd_study(u, udot, 0.88, exps)
+    lam_rep, psi_rep = study.lam, study.psi
 
     # uniform scaling closed form lambda' = -2 s lambda
     s = 0.41
-    pair = tracked_pair(dense_oracle(u).window(0.88, 2), 0.88)
+    pair = study.base
     scaling_err = abs(lambda_dot(u, scalar_field(grid, s * u.values), pair, exps)
                       + 2.0 * s * pair.lam)
 

@@ -29,12 +29,11 @@ def laplacian(f: ScalarField) -> ScalarField:
     return scalar_field(f.grid, grid_ifft(-k_sq * grid_fft(f.values)).real)
 
 
-def gradient(f: ScalarField):
-    """Spectral gradient components (3 arrays of shape (n, n, n)), the
-    Nyquist-dropped multipliers `ScalarSymbols.ik`."""
-    fh = grid_fft(f.values)
-    return tuple(grid_ifft(ik * fh).real
-                 for ik in scalar_symbols(f.grid.n, f.grid.length).ik)
+def gradient(f: ScalarField) -> np.ndarray:
+    """Spectral gradient, shape (3, n, n, n): the Nyquist-dropped multipliers
+    `ScalarSymbols.ik`, inverted in one batched transform."""
+    ik = scalar_symbols(f.grid.n, f.grid.length).ik
+    return grid_ifft(ik * grid_fft(f.values), axes=(1, 2, 3)).real
 
 
 def grad_dot(f: ScalarField, g: ScalarField) -> np.ndarray:

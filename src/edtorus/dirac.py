@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (
+    SPINOR_GRID_AXES,
     SpinorField,
     SpinStructure,
     TorusGrid,
@@ -27,9 +28,6 @@ from .fields import (
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
-#: grid axes of an unpacked spinor array or a batch of them, (..., n, n, n, 2)
-SPINOR_GRID_AXES = (-4, -3, -2)
 
 
 @dataclass(frozen=True)

@@ -198,20 +198,23 @@ def constant_spinor(grid: TorusGrid, spin: SpinStructure, fiber) -> SpinorField:
 # i.e. the constant field has c(0) = 1.  grid_fft/(n^3) realizes this.
 # ---------------------------------------------------------------------------
 
-#: the three grid axes of a scalar (n, n, n) or spinor (n, n, n, 2) array
-GRID_AXES = (0, 1, 2)
+#: grid axes of an unpacked spinor array or a batch of them, (..., n, n, n, 2)
+SPINOR_GRID_AXES = (-4, -3, -2)
 
 
-def grid_fft(values: np.ndarray, axes=GRID_AXES) -> np.ndarray:
-    """Unnormalized forward DFT over the grid axes (the one FFT kernel).
+def grid_fft(values: np.ndarray, axes=None) -> np.ndarray:
+    """Unnormalized forward DFT (the one FFT kernel), over all axes unless
+    `axes` names the grid axes of a spinor or batched array.
 
     scipy.fft transforms all axes in one compiled call; numpy's fftn loops
-    over them in Python, which dominates at desk grid sizes.
+    over them in Python, which dominates at desk grid sizes.  axes=None
+    skips scipy's per-call axis normalization and gives the same bits as
+    axes=(0, 1, 2) on a scalar array.
     """
     return scipy.fft.fftn(values, axes=axes)
 
 
-def grid_ifft(values: np.ndarray, axes=GRID_AXES) -> np.ndarray:
+def grid_ifft(values: np.ndarray, axes=None) -> np.ndarray:
     """Inverse of grid_fft (carries the 1/n^3)."""
     return scipy.fft.ifftn(values, axes=axes)
 
@@ -242,14 +245,15 @@ class ScalarSymbols:
     """Fourier multipliers of scalar fields, read-only.
 
     k_sq = |kappa|^2, so the flat Laplacian is -k_sq.  ik = (i kappa_1,
-    i kappa_2, i kappa_3), the gradient, with the unpaired Nyquist mode
-    dropped: its exact derivative aliases to zero on the grid, and dropping
-    it keeps the discrete integration-by-parts identity
-    int u L_g u = c_m int |grad u|^2 exact for band-limited fields.
+    i kappa_2, i kappa_3) stacked on a leading axis, shape (3, n, n, n), the
+    gradient, with the unpaired Nyquist mode dropped: its exact derivative
+    aliases to zero on the grid, and dropping it keeps the discrete
+    integration-by-parts identity int u L_g u = c_m int |grad u|^2 exact for
+    band-limited fields.
     """
 
     k_sq: np.ndarray
-    ik: tuple
+    ik: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -257,8 +261,8 @@ def scalar_symbols(n: int, length: float) -> ScalarSymbols:
     """The ScalarSymbols of one grid, built once."""
     modes = _integer_modes(n)
     k1, k2, k3 = ((TWO_PI / length) * m for m in modes)
-    ik = tuple(_freeze(1j * np.where(m == -(n // 2), 0.0, k)) for m, k in zip(modes, (k1, k2, k3)))
-    return ScalarSymbols(_freeze(k1 ** 2 + k2 ** 2 + k3 ** 2), ik)
+    ik = np.stack([1j * np.where(m == -(n // 2), 0.0, k) for m, k in zip(modes, (k1, k2, k3))])
+    return ScalarSymbols(_freeze(k1 ** 2 + k2 ** 2 + k3 ** 2), _freeze(ik))
 
 
 @dataclass(frozen=True)
@@ -296,8 +300,10 @@ def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
 
 def fourier_transform(f):
     """Normalized forward DFT of a ScalarField or SpinorField (per component)."""
-    if isinstance(f, (ScalarField, SpinorField)):
+    if isinstance(f, ScalarField):
         return grid_fft(f.values) / f.grid.num_points
+    if isinstance(f, SpinorField):
+        return grid_fft(f.values, axes=SPINOR_GRID_AXES) / f.grid.num_points
     raise TypeError(f"expected a field, got {type(f)!r}")
 
 
@@ -306,7 +312,7 @@ def inverse_fourier_scalar(grid: TorusGrid, coeffs: np.ndarray) -> ScalarField:
 
 
 def inverse_fourier_spinor(grid: TorusGrid, spin: SpinStructure, coeffs: np.ndarray) -> SpinorField:
-    return SpinorField(grid, spin, grid_ifft(coeffs * grid.num_points))
+    return SpinorField(grid, spin, grid_ifft(coeffs * grid.num_points, axes=SPINOR_GRID_AXES))
 
 
 # ---------------------------------------------------------------------------

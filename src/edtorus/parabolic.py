@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .conformal import gradient, laplacian
-from .errors import ConvergenceFailure, NonPositiveDiffusivity, ParameterTooSmall
+from .conformal import gradient
+from .errors import ConvergenceFailure, NonFiniteState, NonPositiveDiffusivity, ParameterTooSmall
 from .fields import (
     ScalarField,
     TorusGrid,
@@ -233,10 +233,13 @@ class ParabolicProblem:
         return min(float(self.diffusivity(t).min()) for t in self.times())
 
 
-def _spatial_operator(problem: ParabolicProblem, w: np.ndarray, t: float) -> np.ndarray:
-    """G_t[w] = -A(.,t) Lap w + L[w](.,t)."""
-    lap = laplacian(ScalarField(problem.grid, w)).values
-    return -problem.diffusivity(t) * lap + problem.operator.apply(w, t)
+def _spatial_operator(problem: ParabolicProblem, a: np.ndarray, w: np.ndarray,
+                      t: float) -> np.ndarray:
+    """G_t[w] = -A(.,t) Lap w + L[w](.,t), given a = A(.,t), on raw values:
+    the flat Laplacian is the multiplier -|kappa|^2."""
+    k_sq = scalar_symbols(problem.grid.n, problem.grid.length).k_sq
+    lap = grid_ifft(-k_sq * grid_fft(w)).real
+    return -a * lap + problem.operator.apply(w, t)
 
 
 #: GMRES settings of the implicit step, and the relative true residual
@@ -251,15 +254,18 @@ def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
                 rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
     """GMRES solve of (I + theta_dt G_t) w = rhs (x0 None: zero start),
     preconditioned by 1 / (1 + theta_dt abar |kappa|^2), abar the mean
-    diffusivity."""
+    diffusivity.  A non-finite rhs or result raises NonFiniteState."""
+    if not np.all(np.isfinite(rhs)):
+        raise NonFiniteState(f"non-finite implicit step right-hand side at t = {t:.6g}")
     shape = problem.grid.shape
     k_sq = scalar_symbols(problem.grid.n, problem.grid.length).k_sq
-    abar = float(np.mean(problem.diffusivity(t)))
+    a = problem.diffusivity(t)
+    abar = float(np.mean(a))
     symbol = 1.0 / (1.0 + theta_dt * abar * k_sq)
 
     def matvec(x):
         w = x.reshape(shape)
-        return (w + theta_dt * _spatial_operator(problem, w, t)).reshape(-1)
+        return (w + theta_dt * _spatial_operator(problem, a, w, t)).reshape(-1)
 
     def precond(x):
         return grid_ifft(symbol * grid_fft(x.reshape(shape))).real.reshape(-1)
@@ -270,9 +276,11 @@ def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
     b = rhs.reshape(-1)
     x, info = gmres(A, b, x0=x0, rtol=STEP_GMRES_RTOL, atol=0.0, restart=STEP_GMRES_RESTART,
                     maxiter=STEP_GMRES_MAXITER, M=M)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteState(f"non-finite implicit step solution at t = {t:.6g}")
     resid = np.linalg.norm(matvec(x) - b)
     scale = max(np.linalg.norm(b), 1e-300)
-    if info != 0 or resid > STEP_RESIDUAL_TOL * scale:
+    if info != 0 or not resid <= STEP_RESIDUAL_TOL * scale:  # NaN fails too
         raise ConvergenceFailure("implicit step solve failed", residual=float(resid / scale))
     return x.reshape(shape)
 
@@ -318,7 +326,7 @@ def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
         if scheme == "backward_euler":
             rhs = w + dt * problem.force(t1)
         else:
-            rhs = w - 0.5 * dt * _spatial_operator(problem, w, t0) \
+            rhs = w - 0.5 * dt * _spatial_operator(problem, problem.diffusivity(t0), w, t0) \
                 + 0.5 * dt * (problem.force(t0) + problem.force(t1))
         x0 = rng.standard_normal(problem.grid.num_points) if x0_mode == "random" else None
         states[k + 1] = _step_solve(problem, theta * dt, t1, rhs, x0)
@@ -334,18 +342,6 @@ class GardingReport:
     delta: float
     kappa: float
     probes: int
-
-
-def garding_bilinear(problem: ParabolicProblem, w: np.ndarray, t: float) -> float:
-    """A_t(w, w) = int A |grad w|^2 + w grad A . grad w + w L[w] dvol."""
-    grid = problem.grid
-    a = problem.diffusivity(t)
-    dw = gradient(ScalarField(grid, w))
-    da = gradient(ScalarField(grid, a))
-    quad = a * (dw[0] ** 2 + dw[1] ** 2 + dw[2] ** 2)
-    cross = w * (da[0] * dw[0] + da[1] * dw[1] + da[2] * dw[2])
-    nonlocal_term = w * problem.operator.apply(w, t)
-    return integrate_values(grid, quad + cross + nonlocal_term)
 
 
 def _targeted_probes(problem: ParabolicProblem, t: float):
@@ -372,6 +368,10 @@ def garding_constants(problem: ParabolicProblem, probes: int = 60,
     is the maximal deficit over probe fields and sampled times (a lower-bound
     style estimate, reported with the probe count).  Probes mix smooth and
     full-band random fields with primitive-targeted adversarial fields.
+
+    The bilinear form is A_t(w, w) = int A |grad w|^2 + w grad A . grad w
+    + w L[w] dvol.  Each probe's gradient serves both it and ||w||_H1, and
+    A and grad A are computed once per sampled time.
     """
     delta = 2.0 * problem.min_diffusivity()
     if delta <= 0:
@@ -381,10 +381,20 @@ def garding_constants(problem: ParabolicProblem, probes: int = 60,
     times = problem.times()
     kappa = 1e-12
     total = 0
+    diffusivity_at = {}  # t -> (A(.,t), grad A(.,t))
 
     def account(w, t):
         nonlocal kappa, total
-        deficit = 0.5 * delta * h1_norm_sq(grid, w) - garding_bilinear(problem, w, t)
+        if t not in diffusivity_at:
+            a = problem.diffusivity(t)
+            diffusivity_at[t] = a, gradient(ScalarField(grid, a))
+        a, da = diffusivity_at[t]
+        dw = gradient(ScalarField(grid, w))
+        h1 = integrate_values(grid, w ** 2 + dw[0] ** 2 + dw[1] ** 2 + dw[2] ** 2)
+        quad = a * (dw[0] ** 2 + dw[1] ** 2 + dw[2] ** 2)
+        cross = w * (da[0] * dw[0] + da[1] * dw[1] + da[2] * dw[2])
+        nonlocal_term = w * problem.operator.apply(w, t)
+        deficit = 0.5 * delta * h1 - integrate_values(grid, quad + cross + nonlocal_term)
         l2 = integrate_values(grid, w ** 2)
         kappa = max(kappa, deficit / max(l2, 1e-300))
         total += 1

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import zaxpy
 
-from .dirac import SPINOR_GRID_AXES, apply_dirac, dirac_values, j_values
+from .dirac import apply_dirac, dirac_values, j_values
 from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor, WindowTooNarrow
 from .fields import (
+    SPINOR_GRID_AXES,
     ExponentTable,
     ScalarField,
     SpinorField,

@@ -243,53 +243,44 @@ def _tracked_cluster_pair(u: ScalarField, lam_ref: float, spin, exps) -> EigenPa
     return tracked_pair(dense_oracle(u, spin, exps).window(lam_ref, 2), lam_ref)
 
 
-def lambda_dot_fd_study(u: ScalarField, udot: ScalarField, lam_ref: float,
-                        exps: ExponentTable, spin=None,
-                        steps=(1e-2, 5e-3, 2.5e-3)) -> FDReport:
-    """Centered-difference check of the eigenvalue rate on the dense path."""
-    spin = spin or SpinStructure()
-    base = _tracked_cluster_pair(u, lam_ref, spin, exps)
-    formula = lambda_dot(u, udot, base, exps)
-    errs = []
-    fds = []
-    for h in steps:
-        lam_p = _tracked_cluster_pair(
-            scalar_field(u.grid, u.values + h * udot.values), base.lam, spin, exps).lam
-        lam_m = _tracked_cluster_pair(
-            scalar_field(u.grid, u.values - h * udot.values), base.lam, spin, exps).lam
-        fd = (lam_p - lam_m) / (2.0 * h)
-        fds.append(fd)
-        errs.append(abs(fd - formula))
-    report = FDReport(formula, np.asarray(steps), np.asarray(errs),
-                      _fit_slope(steps, errs), {"fd_values": fds, "lam": base.lam})
-    return report
+@dataclass
+class FDStudy:
+    """Both finite-difference checks of one `fd_study`, and the base pair."""
+
+    base: EigenPair
+    lam: FDReport
+    psi: FDReport
 
 
-def _aligned_representative(u: ScalarField, reference: SpinorField, lam_ref: float,
-                            spin, exps) -> SpinorField:
-    """Continuation gauge: project the reference onto the perturbed eigenspace."""
-    pair = _tracked_cluster_pair(u, lam_ref, spin, exps)
-    return quaternion_align(pair.psi, reference, u, exps)
+def fd_study(u: ScalarField, udot: ScalarField, lam_ref: float, exps: ExponentTable,
+             spin=None, steps=(1e-2, 5e-3, 2.5e-3)) -> FDStudy:
+    """Centered-difference checks of the eigenvalue rate and of the
+    gauge-aligned eigenspinor rate on the dense path.
 
-
-def psi_dot_fd_study(u: ScalarField, udot: ScalarField, lam_ref: float,
-                     exps: ExponentTable, spin=None,
-                     steps=(1e-2, 5e-3, 2.5e-3)) -> FDReport:
-    """Gauge-aligned centered-difference check of the eigenspinor rate."""
+    Each perturbed factor u +- h udot is diagonalized once and its tracked
+    pair serves both differences, so the study builds 1 + 2 len(steps) dense
+    oracles.  The perturbed spinors are put in the continuation gauge: each
+    is the quaternionic multiple of its eigenspace closest to the base spinor.
+    """
     spin = spin or SpinStructure()
     base = _tracked_cluster_pair(u, lam_ref, spin, exps)
     ld = lambda_dot(u, udot, base, exps)
     pd = psi_dot(u, udot, base, ld, exps, tol=1e-10)
 
     h3 = u.grid.cell_volume
-    errs = []
+    fds, lam_errs, psi_errs = [], [], []
     for h in steps:
         up = scalar_field(u.grid, u.values + h * udot.values)
         um = scalar_field(u.grid, u.values - h * udot.values)
-        phi_p = _aligned_representative(up, base.psi, base.lam, spin, exps)
-        phi_m = _aligned_representative(um, base.psi, base.lam, spin, exps)
-        fd = (phi_p.values - phi_m.values) / (2.0 * h)
-        errs.append(float(np.sqrt(h3 * np.sum(np.abs(fd - pd.values) ** 2))))
+        pair_p = _tracked_cluster_pair(up, base.lam, spin, exps)
+        pair_m = _tracked_cluster_pair(um, base.lam, spin, exps)
+        fd = (pair_p.lam - pair_m.lam) / (2.0 * h)
+        fds.append(fd)
+        lam_errs.append(abs(fd - ld))
+        phi_p = quaternion_align(pair_p.psi, base.psi, up, exps)
+        phi_m = quaternion_align(pair_m.psi, base.psi, um, exps)
+        fd_psi = (phi_p.values - phi_m.values) / (2.0 * h)
+        psi_errs.append(float(np.sqrt(h3 * np.sum(np.abs(fd_psi - pd.values) ** 2))))
 
     # normalization identity: d/dt (psi,psi)_u = p1 int u^{p1-1} u_t |psi|^2 + 2 (psi', psi)_u
     dens = (base.psi.values.real ** 2 + base.psi.values.imag ** 2).sum(axis=-1)
@@ -298,5 +289,10 @@ def psi_dot_fd_study(u: ScalarField, udot: ScalarField, lam_ref: float,
     pair_term = 2.0 * weighted_spinor_inner(u, pd, base.psi, exps)
     norm_rate = metric_term + pair_term
 
-    return FDReport(None, np.asarray(steps), np.asarray(errs),
-                    _fit_slope(steps, errs), {"norm_rate": norm_rate, "lam": base.lam})
+    steps = np.asarray(steps)
+    return FDStudy(
+        base,
+        FDReport(ld, steps, np.asarray(lam_errs), _fit_slope(steps, lam_errs),
+                 {"fd_values": fds}),
+        FDReport(None, steps, np.asarray(psi_errs), _fit_slope(steps, psi_errs),
+                 {"norm_rate": norm_rate}))

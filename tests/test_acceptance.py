@@ -49,13 +49,7 @@ from edtorus.parabolic import (
     zero_operator,
 )
 from edtorus.pencil import EigenPair, Pencil, dense_oracle, rigidity_probe, solve_window
-from edtorus.perturb import (
-    lambda_dot,
-    lambda_dot_fd_study,
-    projected_resolvent,
-    psi_dot_fd_study,
-    renormalize,
-)
+from edtorus.perturb import fd_study, lambda_dot, projected_resolvent, renormalize
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 EXPS = ExponentTable(3)
@@ -132,7 +126,7 @@ def test_criterion_04_lambda_rate_formula():
     u = generic_u(grid)
     udot = field_from_function(
         grid, lambda x, y, z: np.cos(x) + 0.4 * np.cos(y) + 0.3 * np.cos(x + z))
-    rep = lambda_dot_fd_study(u, udot, 0.88, EXPS, steps=FD_STEPS)
+    rep = fd_study(u, udot, 0.88, EXPS, steps=FD_STEPS).lam
 
     dense = dense_oracle(u)
     sel = dense.nearest_indices(0.88, 2)
@@ -150,7 +144,7 @@ def test_criterion_05_spinor_rate_formula():
     u = generic_u(grid)
     udot = field_from_function(
         grid, lambda x, y, z: np.cos(x) + 0.4 * np.cos(y) + 0.3 * np.cos(x + z))
-    rep = psi_dot_fd_study(u, udot, 0.88, EXPS, steps=FD_STEPS)
+    rep = fd_study(u, udot, 0.88, EXPS, steps=FD_STEPS).psi
     ok = abs(rep.slope - 2.0) <= 0.1 and abs(rep.extras["norm_rate"]) <= 1e-9
     emit(5, f"eigenspinor-rate-formula (slope {rep.slope:.3f})", ok)
 

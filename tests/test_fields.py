@@ -14,6 +14,8 @@ from edtorus.fields import (
     constant_spinor,
     field_from_function,
     fourier_transform,
+    grid_fft,
+    grid_ifft,
     inverse_fourier_scalar,
     inverse_fourier_spinor,
     quadrature,
@@ -111,6 +113,29 @@ class TestFourier:
         psi = random_spinor(grid8, spin, rng)
         back = inverse_fourier_spinor(grid8, spin, fourier_transform(psi))
         assert np.abs(back.values - psi.values).max() <= 1e-12 * np.abs(psi.values).max()
+
+    def test_default_axes_are_all_axes_of_a_scalar(self, grid8, rng):
+        x = rng.standard_normal(grid8.shape)
+        hat = grid_fft(x)
+        assert np.array_equal(hat, grid_fft(x, axes=(0, 1, 2)))
+        assert np.array_equal(grid_ifft(hat), grid_ifft(hat, axes=(0, 1, 2)))
+
+    def test_leading_axis_batch_equals_per_field_transforms(self, grid8, rng):
+        shape = (3,) + grid8.shape
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for transform in (grid_fft, grid_ifft):
+            batched = transform(stack, axes=(1, 2, 3))
+            for a in range(3):
+                assert np.array_equal(batched[a], transform(stack[a]))
+
+    def test_spinor_transforms_act_per_component(self, grid8, spin, rng):
+        psi = random_spinor(grid8, spin, rng)
+        coeffs = fourier_transform(psi)
+        back = inverse_fourier_spinor(grid8, spin, coeffs)
+        for c in range(2):
+            assert np.array_equal(coeffs[..., c], grid_fft(psi.values[..., c]) / grid8.num_points)
+            assert np.array_equal(back.values[..., c],
+                                  grid_ifft(coeffs[..., c] * grid8.num_points))
 
     def test_scalar_symbols(self):
         # |kappa|^2 and i kappa with the Nyquist plane of each axis zeroed,

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+import scipy.fft
 
-from edtorus.errors import NonPositiveDiffusivity, ParameterTooSmall
-from edtorus.fields import TorusGrid, constant_field, field_from_function, scalar_field
+from edtorus.conformal import gradient
+from edtorus.errors import NonFiniteState, NonPositiveDiffusivity, ParameterTooSmall
+from edtorus.fields import (
+    TorusGrid,
+    constant_field,
+    field_from_function,
+    integrate_values,
+    scalar_field,
+)
 from edtorus.parabolic import (
     FiberLinear,
     GradContract,
@@ -10,10 +18,12 @@ from edtorus.parabolic import (
     NonlocalOperator,
     ParabolicProblem,
     RankOne,
+    _targeted_probes,
     check_axioms,
     constant_provider,
     energy_estimate_check,
     garding_constants,
+    h1_norm_sq,
     mean_operator,
     random_band_limited,
     solve,
@@ -169,6 +179,14 @@ class TestSolve:
         with pytest.raises(NonPositiveDiffusivity):
             solve(prob)
 
+    @pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
+    def test_non_finite_forcing_is_typed(self, grid, ones, scheme):
+        nan = np.full(grid.shape, np.nan)
+        prob = ParabolicProblem(grid, constant_provider(ones), mean_operator(grid),
+                                constant_provider(nan), constant_field(grid, 1.0), 1.0, 4)
+        with pytest.raises(NonFiniteState):
+            solve(prob, scheme)
+
 
 class TestGarding:
     def test_unit_identity(self, grid, ones):
@@ -195,6 +213,64 @@ class TestGarding:
         # the mean term is positive semidefinite, so kappa approaches the
         # pure-Laplacian value 1 from below on near-mean-free probes
         assert rep.kappa >= 0.99
+
+    def test_kappa_matches_definition(self, grid, rng):
+        """kappa = max over the probes of ((delta/2) ||w||_H1^2 - A_t(w, w)) / |w|_2^2,
+        A_t(w, w) = int A |grad w|^2 + w grad A . grad w + w L[w], recomputed
+        probe by probe with the probes and times garding_constants draws."""
+        base = random_band_limited(grid, rng)
+        a_fun = (lambda t: 1.0 + 0.25 * base * np.cos(t))
+        op = NonlocalOperator(grid, [
+            RankOne(constant_provider(random_band_limited(grid, rng)),
+                    constant_provider(random_band_limited(grid, rng))),
+            Multiply(constant_provider(0.5 * random_band_limited(grid, rng))),
+        ])
+        prob = ParabolicProblem(grid, a_fun, op, None, constant_field(grid, 1.0), 1.0, 8)
+        probes, seed = 12, 5
+        rep = garding_constants(prob, probes=probes, seed=seed)
+
+        delta = 2.0 * prob.min_diffusivity()
+        times = prob.times()
+        probe_rng = np.random.default_rng(seed)
+        samples = [(w, float(t)) for t in times[::max(1, len(times) // 4)]
+                   for w in _targeted_probes(prob, float(t))]
+        samples += [(random_band_limited(grid, probe_rng,
+                                         max_mode=grid.n // 4 if k % 2 == 0 else grid.n // 2),
+                     float(times[k % len(times)])) for k in range(probes)]
+        kappa = 1e-12
+        for w, t in samples:
+            a = a_fun(t)
+            dw, da = gradient(scalar_field(grid, w)), gradient(scalar_field(grid, a))
+            bilinear = integrate_values(grid, a * (dw ** 2).sum(axis=0)
+                                        + w * (da * dw).sum(axis=0) + w * op.apply(w, t))
+            deficit = 0.5 * delta * h1_norm_sq(grid, w) - bilinear
+            kappa = max(kappa, deficit / integrate_values(grid, w ** 2))
+        assert rep.probes == len(samples)
+        assert rep.kappa == pytest.approx(kappa, rel=1e-14, abs=0.0)
+
+    def test_fft_count(self, grid, ones, monkeypatch):
+        """One forward and one batched inverse transform per probe gradient,
+        one gradient of A per sampled time, one transform to draw each random
+        probe: nothing is transformed twice."""
+        calls = []
+
+        def counted(transform):
+            def wrapper(*args, **kwargs):
+                calls.append(transform.__name__)
+                return transform(*args, **kwargs)
+            return wrapper
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        # steps = 2: times 0, 1/2, 1, every one sampled by the targeted probes
+        # (1, K, h, K + h, K - h of the mean operator's rank-one term) and by
+        # the random ones
+        probes, times, targeted_per_time = 6, 3, 5
+        prob = ParabolicProblem(grid, constant_provider(ones), mean_operator(grid),
+                                None, constant_field(grid, 1.0), 1.0, 2)
+        rep = garding_constants(prob, probes=probes)
+        assert rep.probes == probes + targeted_per_time * times
+        assert len(calls) == probes + 2 * rep.probes + 2 * times
 
 
 class TestEnergyEstimate:

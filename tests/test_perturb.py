@@ -15,12 +15,11 @@ from edtorus.fields import (
 from edtorus.pencil import EigenPair, dense_oracle
 from edtorus.perturb import (
     eigenpath_step,
+    fd_study,
     growth_bound_check,
     lambda_dot,
-    lambda_dot_fd_study,
     projected_resolvent,
     psi_dot,
-    psi_dot_fd_study,
     quaternion_align,
     rk4_step,
     tracked_pair,
@@ -91,8 +90,8 @@ class TestLambdaDot:
 
     def test_fd_slope(self, exps):
         grid = TorusGrid(6)
-        rep = lambda_dot_fd_study(generic_u(grid), generic_direction(grid),
-                                  LAM_REF, exps, steps=FD_STEPS)
+        rep = fd_study(generic_u(grid), generic_direction(grid),
+                       LAM_REF, exps, steps=FD_STEPS).lam
         assert abs(rep.slope - 2.0) <= 0.1
 
 
@@ -162,8 +161,8 @@ class TestPsiDot:
 
     def test_fd_slope(self, exps):
         grid = TorusGrid(6)
-        rep = psi_dot_fd_study(generic_u(grid), generic_direction(grid),
-                               LAM_REF, exps, steps=FD_STEPS)
+        rep = fd_study(generic_u(grid), generic_direction(grid),
+                       LAM_REF, exps, steps=FD_STEPS).psi
         assert abs(rep.slope - 2.0) <= 0.1
         assert abs(rep.extras["norm_rate"]) <= 1e-9
 
@@ -172,6 +171,29 @@ class TestPsiDot:
         bad = EigenPair(0.0, pair.psi)
         with pytest.raises(ZeroEigenvalue):
             psi_dot(u, constant_field(grid, 1.0), bad, 0.0, exps)
+
+
+class TestFDStudy:
+    def test_one_dense_oracle_per_field(self, exps, spin, monkeypatch):
+        """u and u +- h udot for each step h are diagonalized once each, and
+        both reports and the base pair come from those oracles."""
+        built = []
+
+        def counting_oracle(u, *args):
+            built.append(u.values)
+            return dense_oracle(u, *args)
+
+        monkeypatch.setattr("edtorus.perturb.dense_oracle", counting_oracle)
+        grid = TorusGrid(6)
+        steps = (1e-2, 5e-3)
+        study = fd_study(generic_u(grid), generic_direction(grid), LAM_REF, exps, spin,
+                         steps=steps)
+        assert len(built) == 1 + 2 * len(steps)
+        assert np.array_equal(built[0], generic_u(grid).values)
+        assert len(study.lam.errors) == len(study.psi.errors) == len(steps)
+        expected = tracked_pair(dense_oracle(generic_u(grid), spin, exps).window(LAM_REF, 2),
+                                LAM_REF)
+        assert study.base.lam == expected.lam
 
 
 class TestEigenpath:

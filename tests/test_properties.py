@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from edtorus.dirac import apply_dirac, j_values, quaternionic_j
 from edtorus.fields import (
+    SPINOR_GRID_AXES,
     ExponentTable,
     SpinorField,
     SpinStructure,
@@ -54,14 +55,14 @@ def below_nyquist(psi):
     shift: there the mode set {-n/2, ..., n/2 - 1} is not symmetric, so J
     (which sends mode k + delta to -(k + delta)) maps it to itself only
     without them."""
-    hat = grid_fft(psi.values)
+    hat = grid_fft(psi.values, axes=SPINOR_GRID_AXES)
     half = psi.grid.n // 2
     for axis, shift in enumerate(psi.spin.shift):
         if shift == 0.0:
             index = [slice(None)] * 4
             index[axis] = half
             hat[tuple(index)] = 0.0
-    return SpinorField(psi.grid, psi.spin, grid_ifft(hat))
+    return SpinorField(psi.grid, psi.spin, grid_ifft(hat, axes=SPINOR_GRID_AXES))
 
 
 def hermitian_defect(op, x, y):
@@ -145,10 +146,10 @@ def test_preconditioner_inverts_constant_pencil(case, c):
     grid, _u, spinor = draw(n, spin, seed)
     pencil = Pencil(scalar_field(grid, np.full(grid.shape, c)), spin, ExponentTable(3))
     prec = ShiftedDiagonalPreconditioner(pencil)
-    hat = grid_fft(spinor().values)
+    hat = grid_fft(spinor().values, axes=SPINOR_GRID_AXES)
     k1, k2, k3 = spinor_momentum(grid.n, grid.length, spin.shift)
     hat[(k1 ** 2 + k2 ** 2 + k3 ** 2) == 0] = 0.0
-    x = pencil.pack(grid_ifft(hat))
+    x = pencil.pack(grid_ifft(hat, axes=SPINOR_GRID_AXES))
     mcmc = prec(pencil.apply(prec(pencil.apply(x))))
     assert np.linalg.norm(mcmc - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -176,12 +177,12 @@ def test_shifted_preconditioner_inverts_constant_pencil(case, c, sigma):
     grid, _u, spinor = draw(n, spin, seed)
     pencil = Pencil(scalar_field(grid, np.full(grid.shape, c)), spin, ExponentTable(3))
     prec = ShiftedDiagonalPreconditioner(pencil, sigma)
-    hat = grid_fft(spinor().values)
+    hat = grid_fft(spinor().values, axes=SPINOR_GRID_AXES)
     k1, k2, k3 = spinor_momentum(grid.n, grid.length, spin.shift)
     kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
     k_min = kn[kn > 0].min()
     hat[np.minimum(np.abs(kn - sigma * c ** 2), np.abs(kn + sigma * c ** 2)) < k_min] = 0.0
-    x = pencil.pack(grid_ifft(hat))
+    x = pencil.pack(grid_ifft(hat, axes=SPINOR_GRID_AXES))
 
     def shifted(z):
         return pencil.apply(z) - sigma * z
