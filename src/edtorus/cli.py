@@ -320,17 +320,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
     out = _outdir(cfg)
     lams = window.eigenvalues
-    clusters = []
-    for group in window.clusters():
-        vals = lams[group]
-        others = np.delete(lams, group)
-        gap = float(np.min(np.abs(others[:, None] - vals[None, :]))) if others.size else None
-        clusters.append({
-            "lambda": float(vals.mean()),
-            "multiplicity": len(group),
-            "width": float(vals.max() - vals.min()),
-            "gap_in_window": gap,
-        })
+    clusters = [{"lambda": c.mean, "multiplicity": len(c.members), "width": c.width,
+                 "gap_in_window": c.gap} for c in window.clusters()]
     residuals = [p.constraint_residual(u, exps) for p in window.pairs]
     write_json(out / "spectrum.json", {
         "config": cfg.values,
@@ -421,7 +412,7 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
     scaling_err = abs(lambda_dot(u, scalar_field(grid, s * u.values), pair, exps)
                       + 2.0 * s * pair.lam)
 
-    ok = (abs(lam_rep.slope - 2.0) <= 0.1 and abs(psi_rep.slope - 2.0) <= 0.1
+    ok = (lam_rep.ok and psi_rep.ok
           and scaling_err <= 1e-12 and abs(psi_rep.extras["norm_rate"]) <= 1e-9)
     out = _outdir(cfg)
     write_json(out / "perturb_validate.json", {

@@ -20,9 +20,10 @@ from .fields import (
     TorusGrid,
     TWO_PI,
     _integer_modes,
+    apply_spinor_symbol,
     grid_fft,
     grid_ifft,
-    spinor_momentum,
+    kappa_symbols,
 )
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -53,21 +54,12 @@ class CliffordFrame:
         return max(float(abs(np.trace(s))) for s in self.sigma)
 
 
-def _apply_symbol(k1, k2, k3, comp0, comp1):
-    """Apply the 2x2 matrix sigma.kappa pointwise over mode arrays."""
-    out0 = k3 * comp0 + (k1 - 1j * k2) * comp1
-    out1 = (k1 + 1j * k2) * comp0 - k3 * comp1
-    return out0, out1
-
-
 def dirac_values(grid: TorusGrid, spin: SpinStructure, values: np.ndarray) -> np.ndarray:
-    """Raw-array form of the Dirac action, sigma.kappa in Fourier space, on
-    values of shape (..., n, n, n, 2) (no field wrapping)."""
-    k1, k2, k3 = spinor_momentum(grid.n, grid.length, spin.shift)
+    """Raw-array form of the Dirac action, sigma.kappa of `kappa_symbols` in
+    Fourier space, on values of shape (..., n, n, n, 2) (no field wrapping)."""
+    sym = kappa_symbols(grid.n, grid.length, spin.shift)
     hat = grid_fft(values, axes=SPINOR_GRID_AXES)
-    out = np.empty_like(hat)
-    out[..., 0], out[..., 1] = _apply_symbol(k1, k2, k3, hat[..., 0], hat[..., 1])
-    return grid_ifft(out, axes=SPINOR_GRID_AXES)
+    return grid_ifft(apply_spinor_symbol(sym.diag, sym.off, hat), axes=SPINOR_GRID_AXES)
 
 
 def apply_dirac(psi: SpinorField) -> SpinorField:

@@ -267,19 +267,21 @@ def scalar_symbols(n: int, length: float) -> ScalarSymbols:
 
 @dataclass(frozen=True)
 class KappaSymbols:
-    """u-independent Fourier symbols of the spinor preconditioners, read-only.
+    """The Dirac symbol sigma.kappa of one grid and spin structure and the
+    symbols derived from it, read-only.
 
-    K = max(|kappa|, k_min) with k_min the smallest nonzero |kappa|.  The
-    split operator of `pencil.deflated_solve` uses kih = K^{-1/2} and the
-    symbol S = K^{-1/2} (sigma.kappa) K^{-1/2} = K^{-1} (sigma.kappa) as the
-    pair s_diag = (k3, -k3) / K, s_off = (k1 - i k2, k1 + i k2) / K, so that
-    (S z)_c = s_diag_c z_c + s_off_c z_{1-c}.  kih, s_diag and s_off have the
-    full spinor shape (n, n, n, 2) and complex dtype, so their products with
-    spinors in the iteration neither broadcast nor cast.
+    A pointwise 2x2 multiplier R is a pair (r_diag, r_off) of complex arrays
+    of spinor shape (n, n, n, 2), (R z)_c = r_diag_c z_c + r_off_c z_{1-c}
+    (`apply_spinor_symbol`).  sigma.kappa is (diag, off) = ((k3, -k3),
+    (k1 - i k2, k1 + i k2)), built here only.  With K = max(|kappa|, k_min),
+    k_min the smallest nonzero |kappa|, `pencil.deflated_solve` splits its
+    operator with kih = K^{-1/2} and S = K^{-1} (sigma.kappa) = (s_diag, s_off).
     """
 
     kn: np.ndarray         # |kappa|, (n, n, n)
     k_min: float
+    diag: np.ndarray
+    off: np.ndarray
     kih: np.ndarray
     s_diag: np.ndarray
     s_off: np.ndarray
@@ -291,11 +293,22 @@ def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
     k1, k2, k3 = spinor_momentum(n, length, shift)
     kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
     k_min = float(kn[kn > 0].min())
-    inv_k = 1.0 / np.maximum(kn, k_min)
-    kih = np.sqrt(inv_k)[..., None].repeat(2, axis=-1).astype(np.complex128)
-    s_diag = np.stack([k3 * inv_k, -k3 * inv_k], axis=-1).astype(np.complex128)
-    s_off = np.stack([(k1 - 1j * k2) * inv_k, (k1 + 1j * k2) * inv_k], axis=-1)
-    return KappaSymbols(_freeze(kn), k_min, _freeze(kih), _freeze(s_diag), _freeze(s_off))
+    inv_k = 1.0 / np.maximum(kn, k_min)[..., None]
+    diag = np.stack([k3, -k3], axis=-1).astype(np.complex128)
+    off = np.stack([k1 - 1j * k2, k1 + 1j * k2], axis=-1)
+    kih = np.repeat(np.sqrt(inv_k), 2, axis=-1).astype(np.complex128)
+    return KappaSymbols(_freeze(kn), k_min, _freeze(diag), _freeze(off), _freeze(kih),
+                        _freeze(diag * inv_k), _freeze(off * inv_k))
+
+
+def apply_spinor_symbol(r_diag: np.ndarray, r_off: np.ndarray, hat: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 multiplier pair (see `KappaSymbols`) to spinor Fourier
+    coefficients (..., n, n, n, 2); both products run on contiguous arrays."""
+    swapped = hat[..., ::-1].copy()
+    np.multiply(r_off, swapped, out=swapped)
+    out = r_diag * hat
+    out += swapped
+    return out
 
 
 def fourier_transform(f):

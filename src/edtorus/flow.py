@@ -57,7 +57,6 @@ from .parabolic import (
     zero_operator,
 )
 from .pencil import (
-    DEFAULT_GAP_TOL,
     EigenPair,
     refine_pair,
     simplicity_gap,
@@ -65,6 +64,7 @@ from .pencil import (
     spectrum_near,
 )
 from .perturb import (
+    default_gap_tol,
     projected_resolvent,
     quaternion_align,
     renormalize,
@@ -450,7 +450,7 @@ def linearized_flow_operator(v: ScalarField, pair: EigenPair,
     pair = renormalize(v, pair, exps)
     psi = pair.psi
     lam = pair.lam
-    if gap is not None and gap < DEFAULT_GAP_TOL * (1.0 + abs(lam)):
+    if gap is not None and gap < default_gap_tol(lam):
         raise SmallGap(f"linearization gap {gap:.3e} below tolerance")
     lv = conformal_laplacian(v, exps).values
     lap_v = laplacian(v).values

@@ -230,7 +230,8 @@ class ParabolicProblem:
         return self.forcing(t)
 
     def min_diffusivity(self) -> float:
-        return min(float(self.diffusivity(t).min()) for t in self.times())
+        """min A over the sampled times; NaN if any sampled A holds a NaN."""
+        return float(np.min([self.diffusivity(t).min() for t in self.times()]))
 
 
 def _spatial_operator(problem: ParabolicProblem, a: np.ndarray, w: np.ndarray,
@@ -310,7 +311,7 @@ def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
     if x0_mode not in ("zero", "random"):
         raise ValueError(f"unknown x0_mode {x0_mode!r}")
     delta = problem.min_diffusivity()
-    if delta <= 0:
+    if not delta > 0:  # NaN fails too
         raise NonPositiveDiffusivity(f"min A = {delta:.3e}")
 
     dt = problem.dt()
@@ -374,7 +375,7 @@ def garding_constants(problem: ParabolicProblem, probes: int = 60,
     A and grad A are computed once per sampled time.
     """
     delta = 2.0 * problem.min_diffusivity()
-    if delta <= 0:
+    if not delta > 0:  # NaN fails too
         raise NonPositiveDiffusivity("diffusivity lower bound is not positive")
     rng = np.random.default_rng(seed)
     grid = problem.grid

@@ -24,11 +24,11 @@ from .fields import (
     SpinorField,
     SpinStructure,
     _integer_modes,
+    apply_spinor_symbol,
     grid_fft,
     grid_ifft,
     kappa_symbols,
     require_positive,
-    spinor_momentum,
     weighted_spinor_inner,
 )
 
@@ -227,16 +227,15 @@ class ShiftedDiagonalPreconditioner:
 
     def __init__(self, pencil: Pencil, sigma: float = 0.0):
         grid = pencil.grid
-        k1, k2, k3 = spinor_momentum(grid.n, grid.length, pencil.spin.shift)
         sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
         kn, k_min = sym.kn, sym.k_min
         shift = sigma * float(np.mean(pencil.weight))
         r_plus = 1.0 / np.maximum(np.abs(kn - shift), k_min)
         r_minus = 1.0 / np.maximum(np.abs(kn + shift), k_min)
         # R = c + s sigma.kappa; r_plus = r_minus, so s = 0, wherever kappa = 0
-        c = 0.5 * (r_plus + r_minus)
-        s = 0.5 * (r_plus - r_minus) / np.maximum(kn, k_min)
-        self.symbol = (c + s * k3, s * (k1 - 1j * k2), s * (k1 + 1j * k2), c - s * k3)
+        c = 0.5 * (r_plus + r_minus)[..., None]
+        s = (0.5 * (r_plus - r_minus) / np.maximum(kn, k_min))[..., None]
+        self.symbol = (c + s * sym.diag, s * sym.off)
         self.pencil = pencil
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -244,9 +243,7 @@ class ShiftedDiagonalPreconditioner:
         p = self.pencil
         b_half = p.b_half[..., None]
         hat = grid_fft(p.unpack(x) * b_half, axes=SPINOR_GRID_AXES)
-        r00, r01, r10, r11 = self.symbol
-        h0, h1 = hat[..., 0], hat[..., 1]
-        out = np.stack([r00 * h0 + r01 * h1, r10 * h0 + r11 * h1], axis=-1)
+        out = apply_spinor_symbol(*self.symbol, hat)
         return p.pack(grid_ifft(out, axes=SPINOR_GRID_AXES) * b_half)
 
 
@@ -273,10 +270,25 @@ class EigenPair:
         return abs(weighted_spinor_inner(u, self.psi, self.psi, exps) - 1.0)
 
 
+@dataclass(frozen=True)
+class Cluster:
+    """Consecutive window eigenvalues within CLUSTER_REL_TOL of each other:
+    their window indices, mean and width, the exterior gap to the nearest
+    window eigenvalue outside (None if the window holds no other), and
+    whether that gap is certified by a window eigenvalue on each side."""
+
+    members: range
+    mean: float
+    width: float
+    gap: float | None
+    certified: bool
+
+
 @dataclass
 class SpectrumWindow:
     """A batch of eigenpairs of one pencil sorted by eigenvalue; `iterations`
-    counts the window solver's LOBPCG iterations (0 from the dense oracle)."""
+    counts the window solver's LOBPCG iterations (0 from the dense oracle).
+    It owns the rule that groups its eigenvalues into clusters."""
 
     target: float
     count: int
@@ -289,26 +301,31 @@ class SpectrumWindow:
     def eigenvalues(self) -> np.ndarray:
         return np.array([p.lam for p in self.pairs])
 
-    def clusters(self, rel_tol: float = CLUSTER_REL_TOL):
-        """Indices grouped so consecutive eigenvalues within rel_tol cluster."""
+    def clusters(self) -> list:
+        """The window's clusters in ascending order: an eigenvalue joins its
+        predecessor's cluster when they differ by at most CLUSTER_REL_TOL
+        (1 + |eigenvalue|)."""
         lams = self.eigenvalues
-        groups = []
-        for i in range(len(lams)):
-            if groups and lams[i] - lams[groups[-1][-1]] <= rel_tol * (1.0 + abs(lams[i])):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
+        size = len(lams)
+        joined = np.diff(lams) <= CLUSTER_REL_TOL * (1.0 + np.abs(lams[1:]))
+        bounds = [0, *(np.flatnonzero(~joined) + 1).tolist(), size] if size else []
+        out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            below = lams[lo] - lams[lo - 1] if lo > 0 else math.inf
+            above = lams[hi] - lams[hi - 1] if hi < size else math.inf
+            gap = float(min(below, above))
+            out.append(Cluster(range(lo, hi), float(lams[lo:hi].mean()),
+                               float(lams[hi - 1] - lams[lo]),
+                               gap if gap < math.inf else None, 0 < lo and hi < size))
+        return out
 
-    def cluster_containing(self, lam: float, rel_tol: float = CLUSTER_REL_TOL):
+    def cluster_near(self, lam: float) -> Cluster:
+        """The cluster holding the window eigenvalue nearest lam."""
         lams = self.eigenvalues
         if len(lams) == 0:
             raise WindowTooNarrow("empty window")
         nearest = int(np.argmin(np.abs(lams - lam)))
-        for group in self.clusters(rel_tol):
-            if nearest in group:
-                return group
-        raise WindowTooNarrow("no cluster found")  # pragma: no cover
+        return next(c for c in self.clusters() if nearest in c.members)
 
 
 @dataclass
@@ -328,25 +345,19 @@ def simplicity_gap(window: SpectrumWindow, lam: float,
     discrete pencil allows for the spin structures whose Nyquist modes break
     DJ = JD); three or more members are 'multiple'.
     """
-    group = window.cluster_containing(lam)
-    lams = window.eigenvalues
-    inside = lams[group]
-    outside = np.delete(lams, group)
-    if outside.size == 0:
+    cluster = window.cluster_near(lam)
+    if cluster.gap is None:
         raise WindowTooNarrow("window holds a single cluster; no exterior gap measurable")
-    gap = float(min(np.min(np.abs(outside - inside.min())),
-                    np.min(np.abs(outside - inside.max()))))
-    certified = 0 < group[0] and group[-1] < len(lams) - 1
-    width = float(inside.max() - inside.min())
-    if gap < gap_tol:
+    size = len(cluster.members)
+    if cluster.gap < gap_tol:
         kind = "indeterminate"
-    elif len(group) == 2:
-        kind = "quaternionic_simple" if certified else "indeterminate"
-    elif len(group) == 1:
+    elif size == 2:
+        kind = "quaternionic_simple" if cluster.certified else "indeterminate"
+    elif size == 1:
         kind = "unpaired_simple"
     else:
         kind = "multiple"
-    return SimplicityReport(kind, len(group), width, gap, certified)
+    return SimplicityReport(kind, size, cluster.width, cluster.gap, cluster.certified)
 
 
 # ---------------------------------------------------------------------------
@@ -410,34 +421,24 @@ def _fix_gauge(x: np.ndarray) -> np.ndarray:
 
 def _flat_guess(pencil: Pencil, sigma: float, count: int) -> np.ndarray:
     """Plane-wave symbol eigenvectors nearest sigma (after mean-weight scaling):
-    a cheap analytic warm start for cold window solves."""
+    a cheap analytic warm start for cold window solves.  Each mode's
+    eigenvectors are those of its 2x2 block of K^{-1} (sigma.kappa); the
+    kappa = 0 mode takes (1, 0) on both branches."""
     grid = pencil.grid
     wbar = float(np.mean(pencil.weight))
-    k1, k2, k3 = spinor_momentum(grid.n, grid.length, pencil.spin.shift)
-    kn = kappa_symbols(grid.n, grid.length, pencil.spin.shift).kn
-    flat = np.concatenate([(kn / wbar).ravel(), (-kn / wbar).ravel()])
+    sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
+    flat = np.concatenate([(sym.kn / wbar).ravel(), (-sym.kn / wbar).ravel()])
     order = np.argsort(np.abs(flat - sigma), kind="stable")[:count]
-    npts = grid.num_points
-    i1, i2, i3 = (m.ravel() for m in _integer_modes(grid.n))
+    j = order % grid.num_points
+    s_diag, s_off = sym.s_diag.reshape(-1, 2)[j], sym.s_off.reshape(-1, 2)[j]
+    blocks = np.stack([s_diag[:, 0], s_off[:, 0], s_off[:, 1], s_diag[:, 1]], axis=-1)
+    _w, vecs = np.linalg.eigh(blocks.reshape(-1, 2, 2))
+    vec = np.where((order < grid.num_points)[:, None], vecs[:, :, 1], vecs[:, :, 0])
+    vec[sym.kn.ravel()[j] == 0] = (1.0, 0.0)
+    i1, i2, i3 = (m.ravel()[j, None, None, None] for m in _integer_modes(grid.n))
     x1, x2, x3 = grid.coords()
-    scale = 2.0 * np.pi / grid.length
-    cols = np.empty((pencil.dim, len(order)), dtype=np.complex128)
-    for c, idx in enumerate(order):
-        sign = 1.0 if idx < npts else -1.0
-        j = idx % npts
-        kap = np.array([k1.ravel()[j], k2.ravel()[j], k3.ravel()[j]])
-        norm = np.linalg.norm(kap)
-        if norm == 0:
-            vec = np.array([1.0, 0.0], dtype=np.complex128)
-        else:
-            symbol = np.array([[kap[2], kap[0] - 1j * kap[1]],
-                               [kap[0] + 1j * kap[1], -kap[2]]]) / norm
-            _w, v = np.linalg.eigh(symbol)
-            vec = v[:, 1] if sign > 0 else v[:, 0]
-        phase = np.exp(1j * scale * (i1[j] * x1 + i2[j] * x2 + i3[j] * x3))
-        vals = phase[..., None] * vec
-        cols[:, c] = (vals * pencil.b_half[..., None]).reshape(-1)
-    return cols
+    phase = np.exp(1j * (2.0 * np.pi / grid.length) * (i1 * x1 + i2 * x2 + i3 * x3))
+    return pencil.pack(phase[..., None] * vec[:, None, None, None] * pencil.b_half[..., None])
 
 
 def _complement_basis(X: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -705,13 +706,9 @@ def splitting_probe(u: ScalarField, lam: float, v: ScalarField, eps_list,
     exps = exps or ExponentTable(3)
     eps_arr = np.asarray(list(eps_list), dtype=float)
 
-    def eigenvalues_at(w: ScalarField, center: float, k: int) -> np.ndarray:
-        return spectrum_near(w, center, k, spin, exps).eigenvalues
-
     if cluster_size is None:
-        base = eigenvalues_at(u, lam, min(16, 2 * u.grid.num_points))
-        cluster_size = int(np.sum(np.abs(base - lam) <= CLUSTER_REL_TOL * (1.0 + abs(lam))))
-        cluster_size = max(cluster_size, 2)
+        base = spectrum_near(u, lam, min(16, 2 * u.grid.num_points), spin, exps)
+        cluster_size = len(base.cluster_near(lam).members)
 
     branches = np.empty((eps_arr.size, cluster_size))
     center = lam
@@ -719,7 +716,7 @@ def splitting_probe(u: ScalarField, lam: float, v: ScalarField, eps_list,
         w = ScalarField(u.grid, u.values + eps * v.values)
         if w.min() <= 0:
             raise NonPositiveConformalFactor(f"u + {eps} v loses positivity")
-        branches[i] = eigenvalues_at(w, center, cluster_size)
+        branches[i] = spectrum_near(w, center, cluster_size, spin, exps).eigenvalues
         center = float(branches[i].mean())
     seps = branches.max(axis=1) - branches.min(axis=1)
     splits = bool(np.all(np.diff(seps) > 0))
@@ -734,10 +731,10 @@ def rigidity_probe(window: SpectrumWindow, lam: float, n_random: int = 8,
     returns sup_x (max_j |phi_j(x)| - min_j |phi_j(x)|).  Zero spread is the
     rigidity property; a quaternionic pair has it automatically.
     """
-    group = window.cluster_containing(lam)
-    if len(group) < 2:
+    members = window.cluster_near(lam).members
+    if len(members) < 2:
         raise ValueError("rigidity probe needs a cluster of complex dimension >= 2")
-    basis = [window.pairs[i].psi.values for i in group]
+    basis = [window.pairs[i].psi.values for i in members]
     rng = np.random.default_rng(seed)
     candidates = list(basis)
     for _ in range(n_random):

@@ -146,9 +146,9 @@ def tracked_pair(window: SpectrumWindow, lam_ref: float) -> EigenPair:
     """The tracked Kramers pair of a window: the cluster nearest lam_ref, its
     mean eigenvalue and its first member, normalized in the u-weighted inner
     product."""
-    group = window.cluster_containing(lam_ref)
-    lam = float(window.eigenvalues[group].mean())
-    return renormalize(window.u, EigenPair(lam, window.pairs[group[0]].psi), window.exps)
+    cluster = window.cluster_near(lam_ref)
+    pair = EigenPair(cluster.mean, window.pairs[cluster.members[0]].psi)
+    return renormalize(window.u, pair, window.exps)
 
 
 def rk4_step(rate, t: float, dt: float, y: tuple) -> tuple:

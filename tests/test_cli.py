@@ -191,6 +191,29 @@ class TestSpectrumCommand:
                       np.sort(dense.eigenvalues[sel])).max() <= 1e-8
         assert 0 < data["iterations"] <= 400
 
+    @pytest.mark.parametrize("shift", ["0.5,0.5,0.5", "0,0,0"])
+    def test_clusters_agree_with_simplicity_gap(self, tmp_path, exps, shift):
+        # the clusters of spectrum.json and simplicity_gap read one rule; the
+        # trivial shift has one-member clusters as well as pairs
+        from edtorus.fields import SpinStructure, TorusGrid, field_from_function
+        from edtorus.pencil import simplicity_gap, solve_window
+
+        (tmp_path / "c.cfg").write_text(
+            f"grid.n = 6\nspin.shift = {shift}\noutput.dir = {tmp_path / 'out'}\n")
+        assert main(["spectrum", "--config", str(tmp_path / "c.cfg")]) == EXIT_OK
+        data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+        u = field_from_function(TorusGrid(6),
+                                lambda x, y, z: 1 + 0.3 * np.cos(x) + 0.2 * np.cos(y + z))
+        spin = SpinStructure(tuple(float(s) for s in shift.split(",")))
+        window = solve_window(u, 0.87, 12, spin, exps, seed=7)
+        assert data["eigenvalues"] == window.eigenvalues.tolist()
+        assert sum(c["multiplicity"] for c in data["clusters"]) == 12
+        for cluster in data["clusters"]:
+            rep = simplicity_gap(window, cluster["lambda"])
+            assert cluster["multiplicity"] == rep.cluster_size
+            assert cluster["width"] == rep.cluster_width
+            assert cluster["gap_in_window"] == rep.exterior_gap
+
     def test_bad_config_exit_code(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("flw.dt = 0.1\n")
         r = run_cli(["spectrum", "--config", "bad.cfg"], tmp_path)

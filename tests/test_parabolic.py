@@ -179,6 +179,22 @@ class TestSolve:
         with pytest.raises(NonPositiveDiffusivity):
             solve(prob)
 
+    @pytest.mark.parametrize("nan_step", [0, 2])
+    @pytest.mark.parametrize("call", ["backward_euler", "crank_nicolson", "garding"])
+    def test_nan_diffusivity_is_nonpositive(self, grid, ones, nan_step, call):
+        # A holds one NaN point at a single sampled time; the time grid is
+        # k / 4, so step 2 is t = 0.5
+        def diffusivity(t):
+            a = ones.copy()
+            if t == nan_step / 4:
+                a[1, 2, 3] = np.nan
+            return a
+
+        prob = ParabolicProblem(grid, diffusivity, mean_operator(grid), None,
+                                constant_field(grid, 1.0), 1.0, 4)
+        with pytest.raises(NonPositiveDiffusivity):
+            garding_constants(prob) if call == "garding" else solve(prob, call)
+
     @pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
     def test_non_finite_forcing_is_typed(self, grid, ones, scheme):
         nan = np.full(grid.shape, np.nan)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from edtorus.dirac import _apply_symbol, flat_spectrum_oracle, quaternionic_j
+from edtorus.dirac import SIGMA1, SIGMA2, SIGMA3, flat_spectrum_oracle, quaternionic_j
 from edtorus.errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor
 from edtorus.fields import (
     SpinorField,
     SpinStructure,
     TorusGrid,
+    apply_spinor_symbol,
     constant_field,
     field_from_function,
     kappa_symbols,
@@ -15,8 +16,10 @@ from edtorus.fields import (
     weighted_spinor_inner_c,
 )
 from edtorus.pencil import (
+    CLUSTER_REL_TOL,
     EigenPair,
     Pencil,
+    _flat_guess,
     dense_oracle,
     deflated_solve,
     kramers_deflation,
@@ -137,7 +140,8 @@ class TestKappaSymbols:
         assert kappa_symbols(grid6.n, grid6.length, spin.shift) is sym
         scalar = scalar_symbols(grid6.n, grid6.length)
         assert scalar_symbols(grid6.n, grid6.length) is scalar
-        for arr in (sym.kn, sym.kih, sym.s_diag, sym.s_off, scalar.k_sq, *scalar.ik):
+        for arr in (sym.kn, sym.diag, sym.off, sym.kih, sym.s_diag, sym.s_off,
+                    scalar.k_sq, *scalar.ik):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -147,12 +151,24 @@ class TestKappaSymbols:
         z = rng.standard_normal(grid6.shape + (2,)) + 1j * rng.standard_normal(grid6.shape + (2,))
         kappa = spinor_momentum(grid6.n, grid6.length, spin.shift)
         inv_kappa = 1.0 / np.maximum(sym.kn, sym.k_min)
-        scaled = [k * inv_kappa for k in kappa]
-        expect = np.stack(_apply_symbol(*scaled, z[..., 0], z[..., 1]), axis=-1)
+        k1, k2, k3 = (k * inv_kappa for k in kappa)
+        expect = np.stack([k3 * z[..., 0] + (k1 - 1j * k2) * z[..., 1],
+                           (k1 + 1j * k2) * z[..., 0] - k3 * z[..., 1]], axis=-1)
         got = sym.s_diag * z + sym.s_off * z[..., ::-1]
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
         assert np.allclose(sym.kih ** 2, np.repeat(inv_kappa[..., None], 2, axis=-1),
                            rtol=1e-15, atol=0)
+
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_kernel_applies_pauli_sigma_kappa(self, grid6, rng, shift):
+        sym = kappa_symbols(grid6.n, grid6.length, shift)
+        z = rng.standard_normal(grid6.shape + (2,)) + 1j * rng.standard_normal(grid6.shape + (2,))
+        kappa = spinor_momentum(grid6.n, grid6.length, shift)
+        sigma_kappa = sum(k[..., None, None] * s for k, s in zip(kappa, (SIGMA1, SIGMA2, SIGMA3)))
+        expect = np.einsum("...ij,...j->...i", sigma_kappa, z)
+        got = apply_spinor_symbol(sym.diag, sym.off, z)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 class TestDeflatedSolve:
@@ -194,6 +210,37 @@ class TestDeflatedSolve:
         y2, *rest2 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
         assert np.array_equal(y1, y2) and rest1 == rest2
         assert np.array_equal(b, b_before)
+
+
+class TestFlatGuess:
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_equals_per_mode_loop(self, grid6, exps, shift):
+        # reference: each mode's symbol eigenvector by its own eigh, one
+        # plane wave at a time; sigma = 0 reaches the kappa = 0 mode of the
+        # trivial shift on both branches
+        pencil = Pencil(generic_u(grid6), SpinStructure(shift), exps)
+        kappa = spinor_momentum(grid6.n, grid6.length, shift)
+        kn = kappa_symbols(grid6.n, grid6.length, shift).kn
+        wbar = float(np.mean(pencil.weight))
+        x1, x2, x3 = grid6.coords()
+        modes = [m.ravel() for m in np.meshgrid(*[np.fft.fftfreq(6, 1 / 6)] * 3, indexing="ij")]
+        npts = grid6.num_points
+        for sigma, count in ((0.0, 10), (0.87, 16), (-1.5, 24)):
+            flat = np.concatenate([(kn / wbar).ravel(), (-kn / wbar).ravel()])
+            order = np.argsort(np.abs(flat - sigma), kind="stable")[:count]
+            expect = np.empty((pencil.dim, count), dtype=np.complex128)
+            for c, idx in enumerate(order):
+                j = idx % npts
+                k1, k2, k3 = (k.ravel()[j] for k in kappa)
+                if kn.ravel()[j] == 0:
+                    vec = np.array([1.0, 0.0])
+                else:
+                    sym = np.array([[k3, k1 - 1j * k2], [k1 + 1j * k2, -k3]]) / kn.ravel()[j]
+                    vec = np.linalg.eigh(sym)[1][:, 1 if idx < npts else 0]
+                phase = np.exp(1j * (modes[0][j] * x1 + modes[1][j] * x2 + modes[2][j] * x3))
+                expect[:, c] = (phase[..., None] * vec * pencil.b_half[..., None]).reshape(-1)
+            got = _flat_guess(pencil, sigma, count)
+            assert np.abs(got - expect).max() <= 1e-14
 
 
 class TestSolveWindow:
@@ -329,6 +376,29 @@ class TestSimplicity:
         assert rep.kind == "unpaired_simple"
 
 
+    @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.5, 0.5)])
+    def test_clusters_follow_the_grouping_rule(self, grid6, exps, shift):
+        # reference: consecutive eigenvalues within CLUSTER_REL_TOL join, the
+        # gap is the distance to the nearest eigenvalue outside
+        win = dense_oracle(generic_u(grid6), SpinStructure(shift), exps).window(0.87, 12)
+        lams = win.eigenvalues
+        groups = []
+        for i, lam in enumerate(lams):
+            if groups and lam - lams[i - 1] <= CLUSTER_REL_TOL * (1.0 + abs(lam)):
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        clusters = win.clusters()
+        assert [list(c.members) for c in clusters] == groups
+        for c in clusters:
+            inside, outside = lams[list(c.members)], np.delete(lams, list(c.members))
+            assert c.mean == inside.mean()
+            assert c.width == inside.max() - inside.min()
+            assert c.gap == np.min(np.abs(outside[:, None] - inside))
+            assert c.certified == (0 < c.members[0] and c.members[-1] < len(lams) - 1)
+            assert win.cluster_near(c.mean) == c
+
+
 class TestSplittingProbe:
     def test_zero_direction(self, grid6, spin, exps):
         u = constant_field(grid6, 1.0)
@@ -355,6 +425,19 @@ class TestSplittingProbe:
         assert rep.splits
         assert np.all(np.diff(rep.separations) > 0)
         assert rep.separations[0] > 1e-4
+
+
+    def test_default_cluster_size_tracks_flat_cluster(self, grid6, spin, exps):
+        # without cluster_size the probe follows the window's cluster at lam,
+        # the 8-fold flat shell
+        u = constant_field(grid6, 1.0)
+        v = field_from_function(grid6, lambda x, y, z: np.cos(x))
+        eps = (0.02, 0.04, 0.08)
+        rep = splitting_probe(u, SQRT3_2, v, eps, spin, exps)
+        fixed = splitting_probe(u, SQRT3_2, v, eps, spin, exps, cluster_size=8)
+        assert rep.branches.shape == (3, 8)
+        assert np.array_equal(rep.branches, fixed.branches)
+        assert rep.splits
 
 
 class TestRigidityProbe:
