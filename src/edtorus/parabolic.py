@@ -11,11 +11,11 @@ functions of t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .conformal import gradient
 from .errors import ConvergenceFailure, NonFiniteState, NonPositiveDiffusivity, ParameterTooSmall
@@ -31,6 +31,9 @@ from .fields import (
 )
 
 Provider = Callable[[float], np.ndarray]
+
+#: grid axes of a stack of scalar fields, (P, n, n, n)
+_BATCH_AXES = (1, 2, 3)
 
 
 def constant_provider(values: np.ndarray) -> Provider:
@@ -142,22 +145,48 @@ def mean_operator(grid: TorusGrid) -> NonlocalOperator:
 # Axioms (A1) bound and (A2) time-locality.
 # ---------------------------------------------------------------------------
 
+def _band_limited_batch(grid: TorusGrid, rng: np.random.Generator, max_modes) -> np.ndarray:
+    """Random real fields, one per entry of max_modes (None: n // 4, at least
+    1), each with modes supported below its max_mode per axis and scaled to
+    sup norm 1, shape (len(max_modes), n, n, n).  The draws are those of one
+    field after another; one batched transform inverts them all."""
+    k1, k2, k3 = _integer_modes(grid.n)
+    kmax = np.array([m if m is not None else max(1, grid.n // 4) for m in max_modes])
+    kmax = kmax[:, None, None, None]
+    mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax) & (np.abs(k3) <= kmax)
+    draws = rng.standard_normal((len(max_modes), 2) + grid.shape)
+    coeffs = np.where(mask, draws[:, 0] + 1j * draws[:, 1], 0.0)
+    out = grid_ifft(coeffs * grid.num_points, axes=_BATCH_AXES).real
+    return out / np.maximum(np.abs(out).max(axis=_BATCH_AXES), 1e-300)[:, None, None, None]
+
+
 def random_band_limited(grid: TorusGrid, rng: np.random.Generator,
                         max_mode: Optional[int] = None) -> np.ndarray:
     """Random real field with modes supported below max_mode per axis."""
-    kmax = max_mode if max_mode is not None else max(1, grid.n // 4)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    k1, k2, k3 = _integer_modes(grid.n)
-    mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax) & (np.abs(k3) <= kmax)
-    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    coeffs[mask] = vals[mask]
-    out = grid_ifft(coeffs * grid.num_points).real
-    return out / max(np.abs(out).max(), 1e-300)
+    return _band_limited_batch(grid, rng, [max_mode])[0]
+
+
+def _gradients(grid: TorusGrid, w: np.ndarray) -> np.ndarray:
+    """Spectral gradients of a stack of fields (P, n, n, n), shape (P, 3, n,
+    n, n): `conformal.gradient` of each field, from one batched forward and
+    one batched inverse transform."""
+    ik = scalar_symbols(grid.n, grid.length).ik
+    return grid_ifft(ik * grid_fft(w, axes=_BATCH_AXES)[:, None], axes=(2, 3, 4)).real
+
+
+def _integrals(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """`integrate_values` of each field of a stack (P, n, n, n)."""
+    return grid.cell_volume * np.sum(values.reshape(len(values), -1), axis=1)
+
+
+def _h1_norms_sq(grid: TorusGrid, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """||w||_H1^2 of each field of a stack, given its `_gradients` dw."""
+    return _integrals(grid, w ** 2 + dw[:, 0] ** 2 + dw[:, 1] ** 2 + dw[:, 2] ** 2)
 
 
 def h1_norm_sq(grid: TorusGrid, w: np.ndarray) -> float:
-    dw = gradient(ScalarField(grid, w))
-    return integrate_values(grid, w ** 2 + dw[0] ** 2 + dw[1] ** 2 + dw[2] ** 2)
+    stack = w[None]
+    return float(_h1_norms_sq(grid, stack, _gradients(grid, stack))[0])
 
 
 @dataclass
@@ -167,15 +196,14 @@ class AxiomReport:
     trials: int
 
 
-def _probe_fields(grid: TorusGrid, rng: np.random.Generator, trials: int):
+def _probe_fields(grid: TorusGrid, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Random band-limited probes plus the constant and single-mode fields
-    that saturate rank-one and multiplication bounds."""
+    that saturate rank-one and multiplication bounds, stacked."""
     x1, x2, x3 = grid.coords()
     scale = 2.0 * np.pi / grid.length
-    probes = [np.ones(grid.shape), np.cos(scale * x1), np.sin(scale * x2)]
-    for _ in range(max(trials - len(probes), 0)):
-        probes.append(random_band_limited(grid, rng))
-    return probes
+    fixed = np.stack([np.ones(grid.shape), np.cos(scale * x1), np.sin(scale * x2)])
+    random = _band_limited_batch(grid, rng, [None] * max(trials - len(fixed), 0))
+    return np.concatenate([fixed, random])
 
 
 def check_axioms(op: NonlocalOperator, trials: int = 100, seed: int = 515,
@@ -183,13 +211,14 @@ def check_axioms(op: NonlocalOperator, trials: int = 100, seed: int = 515,
     """Probe (A1) |L[w](.,t)|_2 <= C ||w||_H1 and (A2) L[alpha w] = alpha(t) L[w]."""
     rng = np.random.default_rng(seed)
     grid = op.grid
+    probes = _probe_fields(grid, rng, trials)
+    h1_series = np.sqrt(_h1_norms_sq(grid, probes, _gradients(grid, probes)))
     a1 = 0.0
     a2 = 0.0
-    for k, w in enumerate(_probe_fields(grid, rng, trials)):
+    for k, (w, h1) in enumerate(zip(probes, h1_series)):
         t = times[k % len(times)]
         lw = op.apply(w, t)
         l2 = np.sqrt(integrate_values(grid, lw ** 2))
-        h1 = np.sqrt(h1_norm_sq(grid, w))
         a1 = max(a1, l2 / max(h1, 1e-300))
         alpha = float(rng.uniform(-2.0, 2.0))
         diff = op.apply(alpha * w, t) - alpha * lw
@@ -251,38 +280,105 @@ STEP_GMRES_MAXITER = 40
 STEP_RESIDUAL_TOL = 1e-10
 
 
+def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
+           r: np.ndarray, tol: float):
+    """Restarted right-preconditioned GMRES (Saad & Schultz 1986) for A x = b.
+
+    precondition_apply(v) returns (z, A z) with z = M v; residual(x) returns
+    b - A x, and r = residual(x) on entry.  A cycle of at most
+    STEP_GMRES_RESTART iterations orthogonalizes A z against the stacked
+    Arnoldi basis by classical Gram-Schmidt, twice, through BLAS; Givens
+    rotations on Python floats give the least-squares residual |g|, which a
+    cycle stops on at tol.  The cycle's solution is x + sum_j y_j z_j, and its
+    true residual is recomputed from that x.  Stops once that residual is <=
+    tol or not finite, or after STEP_GMRES_MAXITER cycles.  Returns (x, |r|,
+    iterations)."""
+    n, m = x.size, STEP_GMRES_RESTART
+    basis = np.empty((m + 1, n))
+    preconditioned = np.empty((m, n))  # the z_j
+    beta = float(np.linalg.norm(r))
+    iterations = 0
+    for _cycle in range(STEP_GMRES_MAXITER):
+        if not tol < beta < math.inf:
+            break
+        np.multiply(r, 1.0 / beta, out=basis[0])
+        g = [beta]
+        rotations = []
+        columns = []  # of the triangular factor
+        for j in range(m):
+            preconditioned[j], w = precondition_apply(basis[j])
+            prev = basis[:j + 1]
+            h = prev @ w
+            w -= h @ prev
+            h2 = prev @ w
+            w -= h2 @ prev
+            h_next = float(np.linalg.norm(w))
+            col = (h + h2).tolist() + [h_next]
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], col[j + 1])
+            c, s = col[j] / rho, col[j + 1] / rho
+            rotations.append((c, s))
+            col[j] = rho
+            columns.append(col[:j + 1])
+            g.append(-s * g[j])
+            g[j] *= c
+            iterations += 1
+            if abs(g[j + 1]) <= tol:
+                break
+            np.multiply(w, 1.0 / h_next, out=basis[j + 1])
+        k = len(columns)
+        y = [0.0] * k
+        for i in reversed(range(k)):
+            y[i] = (g[i] - sum(columns[q][i] * y[q] for q in range(i + 1, k))) / columns[i][i]
+        x = x + np.array(y) @ preconditioned[:k]
+        r = residual(x)
+        beta = float(np.linalg.norm(r))
+    return x, beta, iterations
+
+
 def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
                 rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
-    """GMRES solve of (I + theta_dt G_t) w = rhs (x0 None: zero start),
-    preconditioned by 1 / (1 + theta_dt abar |kappa|^2), abar the mean
-    diffusivity.  A non-finite rhs or result raises NonFiniteState."""
+    """Solve (I + theta_dt G_t) w = rhs by `_gmres` (x0 None: zero start),
+    right-preconditioned by M = 1 / (1 + theta_dt abar |kappa|^2), abar the
+    mean diffusivity.  An iteration transforms v forward once and (M v,
+    Lap M v) back in one batched inverse.  Returns once the recomputed true
+    residual is <= STEP_GMRES_RTOL |rhs|, else raises ConvergenceFailure; a
+    non-finite rhs or result raises NonFiniteState."""
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteState(f"non-finite implicit step right-hand side at t = {t:.6g}")
-    shape = problem.grid.shape
-    k_sq = scalar_symbols(problem.grid.n, problem.grid.length).k_sq
-    a = problem.diffusivity(t)
-    abar = float(np.mean(a))
-    symbol = 1.0 / (1.0 + theta_dt * abar * k_sq)
-
-    def matvec(x):
-        w = x.reshape(shape)
-        return (w + theta_dt * _spatial_operator(problem, a, w, t)).reshape(-1)
-
-    def precond(x):
-        return grid_ifft(symbol * grid_fft(x.reshape(shape))).real.reshape(-1)
-
-    n = rhs.size
-    A = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    M = LinearOperator((n, n), matvec=precond, dtype=np.float64)
+    grid = problem.grid
+    shape = grid.shape
     b = rhs.reshape(-1)
-    x, info = gmres(A, b, x0=x0, rtol=STEP_GMRES_RTOL, atol=0.0, restart=STEP_GMRES_RESTART,
-                    maxiter=STEP_GMRES_MAXITER, M=M)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(shape)
+    k_sq = scalar_symbols(grid.n, grid.length).k_sq
+    a = problem.diffusivity(t)
+    symbol = 1.0 / (1.0 + theta_dt * float(np.mean(a)) * k_sq)
+    multipliers = np.stack([symbol, -k_sq * symbol])
+
+    def precondition_apply(v):
+        z, lap = grid_ifft(multipliers * grid_fft(v.reshape(shape)), axes=_BATCH_AXES).real
+        az = z + theta_dt * (-a * lap + problem.operator.apply(z, t))
+        return z.reshape(-1), az.reshape(-1)
+
+    def residual(x):
+        w = x.reshape(shape)
+        return b - (w + theta_dt * _spatial_operator(problem, a, w, t)).reshape(-1)
+
+    if x0 is None:
+        x, r = np.zeros(b.size), b
+    else:
+        x = np.asarray(x0, dtype=np.float64).reshape(-1)
+        r = residual(x)
+    x, resid, iterations = _gmres(precondition_apply, residual, x, r, STEP_GMRES_RTOL * bnorm)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite implicit step solution at t = {t:.6g}")
-    resid = np.linalg.norm(matvec(x) - b)
-    scale = max(np.linalg.norm(b), 1e-300)
-    if info != 0 or not resid <= STEP_RESIDUAL_TOL * scale:  # NaN fails too
-        raise ConvergenceFailure("implicit step solve failed", residual=float(resid / scale))
+    converged = resid <= STEP_GMRES_RTOL * bnorm  # NaN fails too
+    if not (converged and resid <= STEP_RESIDUAL_TOL * bnorm):
+        raise ConvergenceFailure("implicit step solve failed", iterations=iterations,
+                                 residual=resid / bnorm)
     return x.reshape(shape)
 
 
@@ -371,8 +467,9 @@ def garding_constants(problem: ParabolicProblem, probes: int = 60,
     full-band random fields with primitive-targeted adversarial fields.
 
     The bilinear form is A_t(w, w) = int A |grad w|^2 + w grad A . grad w
-    + w L[w] dvol.  Each probe's gradient serves both it and ||w||_H1, and
-    A and grad A are computed once per sampled time.
+    + w L[w] dvol.  The probes and the diffusivity at each sampled time are
+    differentiated together, in one batched forward and one batched inverse
+    transform; each probe's gradient serves both it and ||w||_H1.
     """
     delta = 2.0 * problem.min_diffusivity()
     if not delta > 0:  # NaN fails too
@@ -380,36 +477,28 @@ def garding_constants(problem: ParabolicProblem, probes: int = 60,
     rng = np.random.default_rng(seed)
     grid = problem.grid
     times = problem.times()
-    kappa = 1e-12
-    total = 0
-    diffusivity_at = {}  # t -> (A(.,t), grad A(.,t))
-
-    def account(w, t):
-        nonlocal kappa, total
-        if t not in diffusivity_at:
-            a = problem.diffusivity(t)
-            diffusivity_at[t] = a, gradient(ScalarField(grid, a))
-        a, da = diffusivity_at[t]
-        dw = gradient(ScalarField(grid, w))
-        h1 = integrate_values(grid, w ** 2 + dw[0] ** 2 + dw[1] ** 2 + dw[2] ** 2)
-        quad = a * (dw[0] ** 2 + dw[1] ** 2 + dw[2] ** 2)
-        cross = w * (da[0] * dw[0] + da[1] * dw[1] + da[2] * dw[2])
-        nonlocal_term = w * problem.operator.apply(w, t)
-        deficit = 0.5 * delta * h1 - integrate_values(grid, quad + cross + nonlocal_term)
-        l2 = integrate_values(grid, w ** 2)
-        kappa = max(kappa, deficit / max(l2, 1e-300))
-        total += 1
-
-    for t in times[:: max(1, len(times) // 4)]:
-        for w in _targeted_probes(problem, float(t)):
-            account(w, float(t))
-    for k in range(probes):
-        # alternate smooth and full-band probes: gradient cross terms make the
-        # deficit grow with frequency, and solutions populate the whole band
-        kmax = grid.n // 4 if k % 2 == 0 else grid.n // 2
-        w = random_band_limited(grid, rng, max_mode=kmax)
-        account(w, float(times[k % len(times)]))
-    return GardingReport(delta, kappa, total)
+    samples = [(w, float(t)) for t in times[:: max(1, len(times) // 4)]
+               for w in _targeted_probes(problem, float(t))]
+    # alternate smooth and full-band probes: gradient cross terms make the
+    # deficit grow with frequency, and solutions populate the whole band
+    drawn = _band_limited_batch(grid, rng, [grid.n // 4 if k % 2 == 0 else grid.n // 2
+                                            for k in range(probes)])
+    samples += [(w, float(times[k % len(times)])) for k, w in enumerate(drawn)]
+    w = np.stack([v for v, _t in samples])
+    at = [t for _v, t in samples]
+    slot = {}  # sampled time -> its row in the diffusivity stack
+    rows = [slot.setdefault(t, len(slot)) for t in at]
+    a = np.stack([problem.diffusivity(t) for t in slot])
+    grads = _gradients(grid, np.concatenate([w, a]))
+    dw, da = grads[:len(w)], grads[len(w):][rows]
+    a = a[rows]
+    quad = a * (dw[:, 0] ** 2 + dw[:, 1] ** 2 + dw[:, 2] ** 2)
+    cross = w * (da[:, 0] * dw[:, 0] + da[:, 1] * dw[:, 1] + da[:, 2] * dw[:, 2])
+    nonlocal_term = w * np.stack([problem.operator.apply(v, t) for v, t in zip(w, at)])
+    deficit = 0.5 * delta * _h1_norms_sq(grid, w, dw) - _integrals(grid, quad + cross + nonlocal_term)
+    ratios = deficit / np.maximum(_integrals(grid, w ** 2), 1e-300)
+    kappa = max([1e-12, *ratios.tolist()])
+    return GardingReport(delta, kappa, len(samples))
 
 
 @dataclass
@@ -436,7 +525,7 @@ def energy_estimate_check(problem: ParabolicProblem, solution: SolutionRecord,
     grid = problem.grid
     times = solution.times
     wgt = np.exp(-2.0 * a * times)
-    h1_series = np.array([h1_norm_sq(grid, s) for s in solution.states])
+    h1_series = _h1_norms_sq(grid, solution.states, _gradients(grid, solution.states))
     lhs = float(np.trapezoid(wgt * h1_series, times))
     f_series = np.array([integrate_values(grid, problem.force(t) ** 2) for t in times])
     f_term = float(np.trapezoid(wgt * f_series, times))

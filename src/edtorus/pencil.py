@@ -578,8 +578,9 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
     and -lam B is folded into one array per solve, so an iteration is one FFT
     pair, four pointwise products and the rank-4 term.  MINRES stops on the
     recomputed residual of the caller's system, |b - Q (C - lam) Q y|_2 <=
-    rtol |b|_2.  Returns (Q y, info, iterations, resid) of `minres_hermitian`,
-    resid that recomputed relative residual of the returned Q y."""
+    rtol |b|_2.  Returns (Q y, C Q y, info, iterations, resid) of
+    `minres_hermitian`, resid that recomputed relative residual of the
+    returned Q y, and C Q y the application that residual made."""
     grid = pencil.grid
     sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
     kih, s_diag, s_off = sym.kih, sym.s_diag, sym.s_off
@@ -615,18 +616,20 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
         return out
 
     bnorm = float(np.linalg.norm(b))
-    # y of the last residual check: minres_hermitian's last check is on the
-    # iterate it returns, so this is the solution (zero for a zero b, where
-    # it makes no iteration and no check)
-    last = [np.zeros_like(b)]
+    # y and C y of the last residual check: minres_hermitian's last check is
+    # on the iterate it returns, so this is the solution (zero for a zero b,
+    # where it makes no iteration and no check)
+    last = [np.zeros_like(b), np.zeros_like(b)]
 
     def residual(z):
-        y = last[0] = deflate(lift(z))
-        return float(np.linalg.norm(b - deflate(pencil.apply(y) - lam * y))) / bnorm
+        y = deflate(lift(z))
+        cy = pencil.apply(y)
+        last[:] = y, cy
+        return float(np.linalg.norm(b - deflate(cy - lam * y))) / bnorm
 
     _z, info, iterations, resid = minres_hermitian(op, rhs, rtol=rtol, maxiter=maxiter,
                                                    residual=residual)
-    return last[0], info, iterations, resid
+    return last[0], last[1], info, iterations, resid
 
 
 def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
@@ -647,10 +650,11 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
 
     chi = pencil.from_spinor(pair.psi)
+    c_chi = pencil.apply(chi)
     iterations = 0
     for sweep in range(max_steps + 1):
-        chi = chi / np.linalg.norm(chi)
-        c_chi = pencil.apply(chi)
+        norm = np.linalg.norm(chi)
+        chi, c_chi = chi / norm, c_chi / norm
         lam = float(np.vdot(chi, c_chi).real)
         resid_vec = c_chi - lam * chi
         resid = float(np.linalg.norm(resid_vec))
@@ -661,13 +665,14 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
                                      residual=resid)
         deflate = kramers_deflation(pencil, chi)
         b = -deflate(resid_vec)
-        t, info, its, rel = deflated_solve(pencil, deflate, lam, b,
-                                           0.05 * eff_tol / np.linalg.norm(b), 400)
+        t, c_t, info, its, rel = deflated_solve(pencil, deflate, lam, b,
+                                                0.05 * eff_tol / np.linalg.norm(b), 400)
         iterations += its
         if info != 0:
             raise ConvergenceFailure("pair refinement inner solve did not converge",
                                      iterations=its, residual=rel)
-        chi = chi + t
+        # C (chi + t) from the application the solve's last residual check made
+        chi, c_chi = chi + t, c_chi + c_t
 
 
 def spectrum_near(u: ScalarField, center: float, count: int,

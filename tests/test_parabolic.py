@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from edtorus import parabolic
 from edtorus.conformal import gradient
-from edtorus.errors import NonFiniteState, NonPositiveDiffusivity, ParameterTooSmall
+from edtorus.errors import (
+    ConvergenceFailure,
+    NonFiniteState,
+    NonPositiveDiffusivity,
+    ParameterTooSmall,
+)
 from edtorus.fields import (
     TorusGrid,
     constant_field,
@@ -18,6 +24,9 @@ from edtorus.parabolic import (
     NonlocalOperator,
     ParabolicProblem,
     RankOne,
+    STEP_GMRES_RTOL,
+    _spatial_operator,
+    _step_solve,
     _targeted_probes,
     check_axioms,
     constant_provider,
@@ -204,6 +213,89 @@ class TestSolve:
             solve(prob, scheme)
 
 
+def counted_transforms(monkeypatch):
+    """Record the name of every scipy.fft fftn/ifftn call from here on."""
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+    return calls
+
+
+class TestStepSolve:
+    """The implicit step (I + theta dt G_t) w = rhs against a dense solve."""
+
+    THETA_DT, T = 0.05, 0.3
+
+    @pytest.fixture
+    def step_problem(self, rng):
+        # N = 4, variable A(x, t), a rank-one and a multiplication term
+        g = TorusGrid(4)
+        base = random_band_limited(g, rng)
+        op = NonlocalOperator(g, [
+            RankOne(constant_provider(random_band_limited(g, rng)),
+                    constant_provider(random_band_limited(g, rng))),
+            Multiply(constant_provider(0.5 * random_band_limited(g, rng))),
+        ])
+        prob = ParabolicProblem(g, lambda t: 1.0 + 0.3 * base * np.cos(t), op, None,
+                                constant_field(g, 1.0), 1.0, 4)
+        return prob, random_band_limited(g, rng)
+
+    def test_matches_dense_solve(self, step_problem):
+        prob, rhs = step_problem
+        g, a = prob.grid, prob.diffusivity(self.T)
+        eye = np.eye(g.num_points)
+        dense = eye + self.THETA_DT * np.column_stack(
+            [_spatial_operator(prob, a, e.reshape(g.shape), self.T).reshape(-1) for e in eye])
+        expect = np.linalg.solve(dense, rhs.reshape(-1)).reshape(g.shape)
+        got = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+        resid = rhs - (got + self.THETA_DT * _spatial_operator(prob, a, got, self.T))
+        assert np.linalg.norm(resid) <= STEP_GMRES_RTOL * np.linalg.norm(rhs)
+
+    def test_random_start_same_solution(self, step_problem, rng):
+        prob, rhs = step_problem
+        zero = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        x0 = rng.standard_normal(prob.grid.num_points)
+        started = _step_solve(prob, self.THETA_DT, self.T, rhs, x0)
+        assert np.abs(started - zero).max() <= 1e-12 * np.abs(zero).max()
+
+    def test_exhausted_cycles_raise(self, step_problem, monkeypatch):
+        prob, rhs = step_problem
+        monkeypatch.setattr(parabolic, "STEP_GMRES_RESTART", 1)
+        monkeypatch.setattr(parabolic, "STEP_GMRES_MAXITER", 1)
+        with pytest.raises(ConvergenceFailure) as err:
+            _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        assert np.isfinite(err.value.residual) and err.value.residual > STEP_GMRES_RTOL
+        assert err.value.iterations == 1
+
+    def test_fft_count(self, step_problem, monkeypatch):
+        """One forward transform and one batched inverse per GMRES
+        iteration, plus the one pair of the true residual that ends the
+        (single) cycle."""
+        prob, rhs = step_problem
+        iterations = []
+        gmres = parabolic._gmres
+
+        def recorded(*args):
+            out = gmres(*args)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr(parabolic, "_gmres", recorded)
+        calls = counted_transforms(monkeypatch)
+        _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        its = iterations[0]
+        assert its >= 3
+        assert calls.count("fftn") == its + 1 and calls.count("ifftn") == its + 1
+
+
 class TestGarding:
     def test_unit_identity(self, grid, ones):
         prob = ParabolicProblem(grid, constant_provider(ones), zero_operator(grid),
@@ -265,28 +357,21 @@ class TestGarding:
         assert rep.kappa == pytest.approx(kappa, rel=1e-14, abs=0.0)
 
     def test_fft_count(self, grid, ones, monkeypatch):
-        """One forward and one batched inverse transform per probe gradient,
-        one gradient of A per sampled time, one transform to draw each random
-        probe: nothing is transformed twice."""
-        calls = []
-
-        def counted(transform):
-            def wrapper(*args, **kwargs):
-                calls.append(transform.__name__)
-                return transform(*args, **kwargs)
-            return wrapper
-
-        for name in ("fftn", "ifftn"):
-            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        """Three batched transforms, whatever the probe count: one inverse
+        draws the random probes, one forward and one inverse give the
+        gradients of every probe and of A at every sampled time."""
+        calls = counted_transforms(monkeypatch)
         # steps = 2: times 0, 1/2, 1, every one sampled by the targeted probes
         # (1, K, h, K + h, K - h of the mean operator's rank-one term) and by
         # the random ones
-        probes, times, targeted_per_time = 6, 3, 5
+        times, targeted_per_time = 3, 5
         prob = ParabolicProblem(grid, constant_provider(ones), mean_operator(grid),
                                 None, constant_field(grid, 1.0), 1.0, 2)
-        rep = garding_constants(prob, probes=probes)
-        assert rep.probes == probes + targeted_per_time * times
-        assert len(calls) == probes + 2 * rep.probes + 2 * times
+        for probes in (6, 12):
+            calls.clear()
+            rep = garding_constants(prob, probes=probes)
+            assert rep.probes == probes + targeted_per_time * times
+            assert calls == ["ifftn", "fftn", "ifftn"]
 
 
 class TestEnergyEstimate:

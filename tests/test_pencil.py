@@ -183,8 +183,9 @@ class TestDeflatedSolve:
         lam = dense.eigenvalues[i]
         deflate = kramers_deflation(pencil, dense.eigenvectors[:, i])
         b = deflate(rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim))
-        y, info, _iterations, reported = deflated_solve(pencil, deflate, lam, b, 1e-11, 1200)
+        y, cy, info, _iterations, reported = deflated_solve(pencil, deflate, lam, b, 1e-11, 1200)
         assert info == 0
+        assert np.array_equal(cy, pencil.apply(y))
         resid = np.linalg.norm(b - deflate(pencil.apply(y) - lam * y))
         assert resid <= 1e-11 * np.linalg.norm(b)
         assert reported == pytest.approx(resid / np.linalg.norm(b), rel=1e-12)
@@ -206,9 +207,9 @@ class TestDeflatedSolve:
         dim = dense.pencil.dim
         b = deflate(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         b_before = b.copy()
-        y1, *rest1 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
-        y2, *rest2 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
-        assert np.array_equal(y1, y2) and rest1 == rest2
+        y1, cy1, *rest1 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
+        y2, cy2, *rest2 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
+        assert np.array_equal(y1, y2) and np.array_equal(cy1, cy2) and rest1 == rest2
         assert np.array_equal(b, b_before)
 
 
