@@ -44,7 +44,7 @@ from .fields import (
 )
 from .flow import FORMULA_VERSIONS, FlowConfig, TRAJECTORY_COLUMNS, run as flow_run
 from .pencil import reset_solver_stats, solve_window, solver_stats
-from .perturb import fd_study, lambda_dot
+from .perturb import RATE_FORMULA_VERSIONS, fd_study, lambda_dot
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -220,9 +220,7 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> ScalarField:
             raise ValidationError("initial snapshot must be a scalar field on the run grid",
                                   key="initial.terms")
         return f
-    if spec.startswith("random"):
-        return _random_initial(cfg, grid, spec)
-    terms = _parse_trig_terms(spec)
+    terms = _random_terms(cfg, spec) if spec.startswith("random") else _parse_trig_terms(spec)
     scale = TWO_PI / grid.length
 
     def f(x1, x2, x3):
@@ -237,8 +235,9 @@ def build_initial(cfg: RunConfig, grid: TorusGrid) -> ScalarField:
     return u
 
 
-def _random_initial(cfg: RunConfig, grid: TorusGrid, spec: str) -> ScalarField:
-    """Seeded band-limited trig polynomial, perturbation clamped below 0.5."""
+def _random_terms(cfg: RunConfig, spec: str):
+    """Seeded band-limited trig terms (a, k), the amplitudes scaled so that
+    their absolute sum stays below 0.5."""
     n_modes = 3
     if ":" in spec:
         n_modes = int(spec.split(":", 1)[1])
@@ -251,15 +250,7 @@ def _random_initial(cfg: RunConfig, grid: TorusGrid, spec: str) -> ScalarField:
         terms.append((float(rng.uniform(-1.0, 1.0)), k))
     total = sum(abs(a) for a, _ in terms)
     clamp = min(1.0, 0.5 / total) * 0.999
-    scale = TWO_PI / grid.length
-
-    def f(x1, x2, x3):
-        out = np.ones_like(x1)
-        for amp, (k1, k2, k3) in terms:
-            out = out + clamp * amp * np.cos(scale * (k1 * x1 + k2 * x2 + k3 * x3))
-        return out
-
-    return field_from_function(grid, f)
+    return [(clamp * a, k) for a, k in terms]
 
 
 def build_flow_config(cfg: RunConfig) -> FlowConfig:
@@ -330,7 +321,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "clusters": clusters,
         "max_constraint_residual": max(residuals),
         "iterations": window.iterations,
-        "formulas": FORMULA_VERSIONS,
     })
     write_csv(out / "spectrum.csv", ("index", "lambda", "constraint_residual"),
               [(i, lams[i], residuals[i]) for i in range(len(lams))])
@@ -423,7 +413,7 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
         "uniform_scaling_error": float(scaling_err),
         "norm_rate_identity": float(psi_rep.extras["norm_rate"]),
         "pass": bool(ok),
-        "formulas": FORMULA_VERSIONS,
+        "formulas": RATE_FORMULA_VERSIONS,
     })
     print(f"perturb-validate: lambda slope {lam_rep.slope:.3f}, "
           f"psi slope {psi_rep.slope:.3f}, pass={ok}")

@@ -357,9 +357,9 @@ def spinor_l2_norm(psi: SpinorField) -> float:
     return float(np.sqrt(psi.grid.cell_volume * np.sum(np.abs(psi.values) ** 2)))
 
 
-def require_positive(u: ScalarField, what: str = "conformal factor") -> None:
+def require_positive(u: ScalarField) -> None:
     if u.min() <= 0.0:
-        raise NonPositiveConformalFactor(f"{what} must be positive, min = {u.min():.3e}")
+        raise NonPositiveConformalFactor(f"conformal factor must be positive, min = {u.min():.3e}")
 
 
 def weighted_spinor_inner_c(u: ScalarField, psi: SpinorField, phi: SpinorField,

@@ -68,7 +68,6 @@ from .perturb import (
     projected_resolvent,
     quaternion_align,
     renormalize,
-    rk4_step,
     tracked_pair,
 )
 
@@ -78,10 +77,6 @@ POSITIVITY_FLOOR = 1e-6
 #: identifiers of the formula variants exercised, for machine-readable audit
 FORMULA_VERSIONS = {
     "flow_rhs": "u-form-ratio-v1",
-    "eta_identity": "scalar-curvature-form-v1",
-    "eigen_rate": "first-order-continuation-v1",
-    "spinor_rate": "projected-resolvent-plus-v1",
-    "linearized_operator": "multiply+rank-one+response-v1",
     "volume_invariant": "ratio-form-exact-v1",
     "eigen_tracking": "per-stage-refine-predicted-v1",
 }
@@ -123,16 +118,15 @@ def eta_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
     return scalar_field(u.grid, vals)
 
 
-def action_value(u: ScalarField, pair: EigenPair, lam: Optional[float] = None,
+def action_value(u: ScalarField, pair: EigenPair,
                  exps: Optional[ExponentTable] = None) -> float:
     """int [u L_g u + (D psi, psi) - lambda u^{p1} |psi|^2] dvol."""
     exps = exps or ExponentTable(3)
-    lam = pair.lam if lam is None else lam
     lu = conformal_laplacian(u, exps).values
     dpsi = apply_dirac(pair.psi).values
     dirac_dens = (np.conjugate(pair.psi.values) * dpsi).sum(axis=-1).real
     dens = pointwise_norm_sq(pair.psi)
-    integrand = u.values * lu + dirac_dens - lam * u.values ** exps.p1 * dens
+    integrand = u.values * lu + dirac_dens - pair.lam * u.values ** exps.p1 * dens
     return integrate_values(u.grid, integrand)
 
 
@@ -166,7 +160,6 @@ class FlowState:
     constraint_residual: float = 0.0
     stationarity: float = 0.0
     min_u: float = 0.0
-    action: float = 0.0
     stage_pairs: tuple = ()             # RK4 stage pairs of the step that made it
 
     def with_diagnostics(self, exps: ExponentTable) -> "FlowState":
@@ -179,7 +172,6 @@ class FlowState:
             constraint_residual=self.pair.constraint_residual(self.u, exps),
             stationarity=r1,
             min_u=self.u.min(),
-            action=action_value(self.u, self.pair, exps=exps),
         )
 
 
@@ -221,6 +213,15 @@ def _pair_at(u: ScalarField, guess: EigenPair, exps: ExponentTable,
     return EigenPair(fresh.lam, quaternion_align(fresh.psi, guess.psi, u, exps))
 
 
+def rk4_step(rate, t: float, dt: float, y: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of y' = rate(t, y)."""
+    k1 = rate(t, y)
+    k2 = rate(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = rate(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = rate(t + dt, y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
               config: FlowConfig) -> FlowState:
     """Classical RK4 in u alone.  Stage 1 uses the pair of the state; stage k
@@ -230,8 +231,7 @@ def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
     grid, spin = state.u.grid, state.pair.psi.spin
     previous, pairs = state.stage_pairs, []
 
-    def rate(t: float, y: tuple) -> tuple:
-        (u_vals,) = y
+    def rate(t: float, u_vals: np.ndarray) -> np.ndarray:
         _require_finite(f"RK4 stage state at t = {t!r}", u_vals)
         u = scalar_field(grid, u_vals)
         _check_positivity(u)
@@ -245,9 +245,9 @@ def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
                     grid, spin, guess.psi.values + (hi.psi.values - lo.psi.values)))
             pair = _pair_at(u, guess, exps, config)
         pairs.append(pair)
-        return (rhs_u(u, pair, exps).values,)
+        return rhs_u(u, pair, exps).values
 
-    (u1,) = rk4_step(rate, state.t, dt, (state.u.values,))
+    u1 = rk4_step(rate, state.t, dt, state.u.values)
     _require_finite(f"RK4 step to t = {state.t + dt!r}", u1)
     u_new = scalar_field(grid, u1)
     _check_positivity(u_new)
@@ -334,7 +334,6 @@ TRAJECTORY_COLUMNS = ("t", "lambda", "energy", "volume", "constraint_residual",
 @dataclass
 class Trajectory:
     rows: list = field(default_factory=list)
-    states: list = field(default_factory=list)
     final_state: Optional[FlowState] = None
     abort_error: Optional[EdtorusError] = None
 
@@ -343,12 +342,10 @@ class Trajectory:
         exc = self.abort_error
         return None if exc is None else f"{type(exc).__name__}: {exc}"
 
-    def record(self, state: FlowState, dt: float, keep_state: bool) -> None:
+    def record(self, state: FlowState, dt: float) -> None:
         self.rows.append((state.t, state.pair.lam, state.energy, state.vol,
                           state.constraint_residual, state.stationarity,
                           state.min_u, state.gap, dt))
-        if keep_state:
-            self.states.append(state)
         self.final_state = state
 
     def column(self, name: str) -> np.ndarray:
@@ -383,7 +380,6 @@ def prepare_initial_state(u0: ScalarField, target: float, exps: ExponentTable,
 def run(u0: ScalarField, target: float, config: FlowConfig,
         exps: Optional[ExponentTable] = None,
         spin: Optional[SpinStructure] = None,
-        keep_states: bool = False,
         snapshot_hook=None) -> Trajectory:
     """Integrate the flow from u0 until the horizon or a typed abort.
 
@@ -398,7 +394,7 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
     state = prepare_initial_state(u0, target, exps, config, spin)
 
     traj = Trajectory()
-    traj.record(state, 0.0, True)
+    traj.record(state, 0.0)
     if snapshot_hook is not None:
         snapshot_hook(0, state)
 
@@ -421,7 +417,7 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
             traj.abort_error = exc
             break
         state = state.with_diagnostics(exps)
-        traj.record(state, dt, keep_states)
+        traj.record(state, dt)
         if snapshot_hook is not None:
             snapshot_hook(steps_done, state)
     return traj
@@ -433,8 +429,7 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
 
 def linearized_flow_operator(v: ScalarField, pair: EigenPair,
                              exps: ExponentTable,
-                             gap: Optional[float] = None,
-                             resolvent_tol: float = 1e-12) -> NonlocalOperator:
+                             gap: Optional[float] = None) -> NonlocalOperator:
     """Linearization remainder of the flow right side at the path point v.
 
     Defined by the directional-derivative identity
@@ -474,7 +469,7 @@ def linearized_flow_operator(v: ScalarField, pair: EigenPair,
         if abs(prefactor) < 1e-12 * (1.0 + abs(lam)):
             return np.zeros_like(w)
         drive = SpinorField(grid, psi.spin, (w / v.values)[..., None] * psi.values)
-        x = projected_resolvent(v, lam, pair, drive, exps, tol=resolvent_tol)
+        x = projected_resolvent(v, lam, pair, drive, exps, tol=1e-12)
         overlap = (np.conjugate(psi.values) * x.values).sum(axis=-1).real
         return prefactor * overlap * v.values ** (-exps.p6)
 

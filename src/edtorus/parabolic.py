@@ -4,9 +4,8 @@
 
 with A uniformly positive and L a time-fibered (fiber-preserving) linear
 operator: the value of L[u] at time t depends only on u(.,t).  Operators are
-assembled from multiplication, gradient-contraction and rank-one integral
-primitives plus a general fiber-linear escape hatch; all providers are pure
-functions of t.
+assembled from multiplication and rank-one integral primitives plus a
+general fiber-linear escape hatch; all providers are pure functions of t.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conformal import gradient
 from .errors import ConvergenceFailure, NonFiniteState, NonPositiveDiffusivity, ParameterTooSmall
 from .fields import (
     ScalarField,
@@ -65,22 +63,6 @@ class Multiply:
 
 
 @dataclass
-class GradContract:
-    """w -> b(.,t) . grad w  (b is a 3-tuple provider)"""
-
-    vector: Callable[[float], tuple]
-
-    def apply(self, grid: TorusGrid, w: np.ndarray, t: float) -> np.ndarray:
-        b = self.vector(t)
-        dw = gradient(ScalarField(grid, w))
-        return b[0] * dw[0] + b[1] * dw[1] + b[2] * dw[2]
-
-    def bound_hint(self, grid: TorusGrid, t: float) -> float:
-        b = self.vector(t)
-        return float(np.sqrt(b[0] ** 2 + b[1] ** 2 + b[2] ** 2).max())
-
-
-@dataclass
 class RankOne:
     """w -> (int w K dvol) * h"""
 
@@ -100,7 +82,7 @@ class RankOne:
 class FiberLinear:
     """General linear fiber map w -> F(w, t); hosts the eigenspinor-response
     term of the linearized flow operator, which is not expressible by the
-    three algebraic primitives."""
+    two algebraic primitives."""
 
     fn: Callable[[np.ndarray, float], np.ndarray]
     bound: float = np.inf
@@ -206,17 +188,17 @@ def _probe_fields(grid: TorusGrid, rng: np.random.Generator, trials: int) -> np.
     return np.concatenate([fixed, random])
 
 
-def check_axioms(op: NonlocalOperator, trials: int = 100, seed: int = 515,
-                 times=(0.0, 0.37, 1.0)) -> AxiomReport:
-    """Probe (A1) |L[w](.,t)|_2 <= C ||w||_H1 and (A2) L[alpha w] = alpha(t) L[w]."""
-    rng = np.random.default_rng(seed)
+def check_axioms(op: NonlocalOperator, trials: int = 100) -> AxiomReport:
+    """Probe (A1) |L[w](.,t)|_2 <= C ||w||_H1 and (A2) L[alpha w] = alpha(t) L[w],
+    the probes taken at t = 0, 0.37 and 1 in turn."""
+    rng = np.random.default_rng(515)
     grid = op.grid
     probes = _probe_fields(grid, rng, trials)
     h1_series = np.sqrt(_h1_norms_sq(grid, probes, _gradients(grid, probes)))
     a1 = 0.0
     a2 = 0.0
     for k, (w, h1) in enumerate(zip(probes, h1_series)):
-        t = times[k % len(times)]
+        t = (0.0, 0.37, 1.0)[k % 3]
         lw = op.apply(w, t)
         l2 = np.sqrt(integrate_values(grid, lw ** 2))
         a1 = max(a1, l2 / max(h1, 1e-300))
@@ -338,13 +320,14 @@ def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
 
 
 def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
-                rhs: np.ndarray, x0: Optional[np.ndarray]) -> np.ndarray:
+                rhs: np.ndarray, x0: Optional[np.ndarray]) -> tuple:
     """Solve (I + theta_dt G_t) w = rhs by `_gmres` (x0 None: zero start),
     right-preconditioned by M = 1 / (1 + theta_dt abar |kappa|^2), abar the
     mean diffusivity.  An iteration transforms v forward once and (M v,
-    Lap M v) back in one batched inverse.  Returns once the recomputed true
-    residual is <= STEP_GMRES_RTOL |rhs|, else raises ConvergenceFailure; a
-    non-finite rhs or result raises NonFiniteState."""
+    Lap M v) back in one batched inverse.  Returns (w, G_t w) once the
+    recomputed true residual is <= STEP_GMRES_RTOL |rhs|, G_t w being the
+    application that residual check made on the returned w; else raises
+    ConvergenceFailure.  A non-finite rhs or result raises NonFiniteState."""
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteState(f"non-finite implicit step right-hand side at t = {t:.6g}")
     grid = problem.grid
@@ -352,7 +335,7 @@ def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
     b = rhs.reshape(-1)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(shape)
+        return np.zeros(shape), np.zeros(shape)
     k_sq = scalar_symbols(grid.n, grid.length).k_sq
     a = problem.diffusivity(t)
     symbol = 1.0 / (1.0 + theta_dt * float(np.mean(a)) * k_sq)
@@ -363,9 +346,13 @@ def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
         az = z + theta_dt * (-a * lap + problem.operator.apply(z, t))
         return z.reshape(-1), az.reshape(-1)
 
+    gw = None  # G_t w of the last residual check; its w is the one _gmres returns
+
     def residual(x):
+        nonlocal gw
         w = x.reshape(shape)
-        return b - (w + theta_dt * _spatial_operator(problem, a, w, t)).reshape(-1)
+        gw = _spatial_operator(problem, a, w, t)
+        return b - (w + theta_dt * gw).reshape(-1)
 
     if x0 is None:
         x, r = np.zeros(b.size), b
@@ -379,7 +366,7 @@ def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
     if not (converged and resid <= STEP_RESIDUAL_TOL * bnorm):
         raise ConvergenceFailure("implicit step solve failed", iterations=iterations,
                                  residual=resid / bnorm)
-    return x.reshape(shape)
+    return x.reshape(shape), gw
 
 
 @dataclass
@@ -401,7 +388,9 @@ def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
 
     backward_euler:  (I + dt G_{t+}) w+ = w + dt f(t+)
     crank_nicolson:  (I + dt/2 G_{t+}) w+ = w - dt/2 G_t w + dt/2 (f_t + f_{t+})
-    """
+
+    Only step 0 applies G on its own: every later G_t w is the one the
+    previous step's last residual check applied to w."""
     if scheme not in ("backward_euler", "crank_nicolson"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if x0_mode not in ("zero", "random"):
@@ -423,10 +412,11 @@ def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
         if scheme == "backward_euler":
             rhs = w + dt * problem.force(t1)
         else:
-            rhs = w - 0.5 * dt * _spatial_operator(problem, problem.diffusivity(t0), w, t0) \
-                + 0.5 * dt * (problem.force(t0) + problem.force(t1))
+            if k == 0:
+                gw = _spatial_operator(problem, problem.diffusivity(t0), w, t0)
+            rhs = w - 0.5 * dt * gw + 0.5 * dt * (problem.force(t0) + problem.force(t1))
         x0 = rng.standard_normal(problem.grid.num_points) if x0_mode == "random" else None
-        states[k + 1] = _step_solve(problem, theta * dt, t1, rhs, x0)
+        states[k + 1], gw = _step_solve(problem, theta * dt, t1, rhs, x0)
     return SolutionRecord(problem, scheme, times, states)
 
 
@@ -536,8 +526,9 @@ def energy_estimate_check(problem: ParabolicProblem, solution: SolutionRecord,
     return EnergyReport(bool(ok), lhs, rhs, margin, a, garding.kappa)
 
 
-def uniqueness_check(problem: ParabolicProblem, scheme: str = "crank_nicolson") -> float:
-    """Solve twice from different Krylov starting vectors; sup-norm difference."""
-    s1 = solve(problem, scheme, x0_mode="zero")
-    s2 = solve(problem, scheme, x0_mode="random")
+def uniqueness_check(problem: ParabolicProblem) -> float:
+    """Solve by Crank-Nicolson twice, from different Krylov starting vectors;
+    sup-norm difference."""
+    s1 = solve(problem, "crank_nicolson", x0_mode="zero")
+    s2 = solve(problem, "crank_nicolson", x0_mode="random")
     return float(np.abs(s1.states - s2.states).max())

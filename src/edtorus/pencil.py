@@ -728,21 +728,21 @@ def splitting_probe(u: ScalarField, lam: float, v: ScalarField, eps_list,
     return SplittingReport(eps_arr, branches, seps, splits)
 
 
-def rigidity_probe(window: SpectrumWindow, lam: float, n_random: int = 8,
-                   seed: int = 20_21) -> float:
+def rigidity_probe(window: SpectrumWindow, lam: float) -> float:
     """Spread of pointwise spinor norms across a normalized eigenvalue cluster.
 
-    Evaluates an orthonormal cluster basis plus random unit combinations and
-    returns sup_x (max_j |phi_j(x)| - min_j |phi_j(x)|).  Zero spread is the
-    rigidity property; a quaternionic pair has it automatically.
+    Evaluates an orthonormal cluster basis plus 8 seeded random unit
+    combinations and returns sup_x (max_j |phi_j(x)| - min_j |phi_j(x)|).
+    Zero spread is the rigidity property; a quaternionic pair has it
+    automatically.
     """
     members = window.cluster_near(lam).members
     if len(members) < 2:
         raise ValueError("rigidity probe needs a cluster of complex dimension >= 2")
     basis = [window.pairs[i].psi.values for i in members]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2021)
     candidates = list(basis)
-    for _ in range(n_random):
+    for _ in range(8):
         c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         c /= np.linalg.norm(c)
         candidates.append(sum(ci * bi for ci, bi in zip(c, basis)))

@@ -39,6 +39,10 @@ from .pencil import (
     kramers_deflation,
 )
 
+#: identifiers of the rate formulas `perturb-validate` checks, for audit
+RATE_FORMULA_VERSIONS = {"eigen_rate": "first-order-continuation-v1",
+                         "spinor_rate": "projected-resolvent-plus-v1"}
+
 
 def default_gap_tol(lam: float) -> float:
     return DEFAULT_GAP_TOL * (1.0 + abs(lam))
@@ -149,70 +153,6 @@ def tracked_pair(window: SpectrumWindow, lam_ref: float) -> EigenPair:
     cluster = window.cluster_near(lam_ref)
     pair = EigenPair(cluster.mean, window.pairs[cluster.members[0]].psi)
     return renormalize(window.u, pair, window.exps)
-
-
-def rk4_step(rate, t: float, dt: float, y: tuple) -> tuple:
-    """One classical RK4 step of y' = rate(t, y) for a tuple of state parts."""
-    def stage(k, c):
-        return tuple(yi + c * dt * ki for yi, ki in zip(y, k))
-
-    k1 = rate(t, y)
-    k2 = rate(t + 0.5 * dt, stage(k1, 0.5))
-    k3 = rate(t + 0.5 * dt, stage(k2, 0.5))
-    k4 = rate(t + dt, stage(k3, 1.0))
-    return tuple(yi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                 for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
-
-
-def eigenpath_step(u_of, udot_of, t: float, dt: float, pair: EigenPair,
-                   exps: ExponentTable, resolvent_tol: float = 1e-11) -> EigenPair:
-    """Advance the tracked eigenpair by one classical RK4 step.
-
-    `u_of` and `udot_of` are time-fibered providers of the conformal factor
-    and its rate.  The advanced pair is renormalized and gauge-aligned to the
-    incoming one over unit quaternionic coefficients.
-    """
-    grid, spin = pair.psi.grid, pair.psi.spin
-
-    def rate(tt: float, y: tuple) -> tuple:
-        u = u_of(tt)
-        ud = udot_of(tt)
-        pr = EigenPair(y[0], SpinorField(grid, spin, y[1]))
-        ld = lambda_dot(u, ud, pr, exps)
-        pd = psi_dot(u, ud, pr, ld, exps, tol=resolvent_tol * 100)
-        return ld, pd.values
-
-    lam1, psi1 = rk4_step(rate, t, dt, (pair.lam, pair.psi.values))
-    u1 = u_of(t + dt)
-    stepped = SpinorField(grid, spin, psi1)
-    aligned = quaternion_align(stepped, pair.psi, u1, exps)
-    return EigenPair(lam1, aligned)
-
-
-@dataclass
-class GrowthReport:
-    ok: bool
-    worst_margin: float
-    growth_constant: float
-
-
-def growth_bound_check(times, lams, n0: float, growth_c: float) -> GrowthReport:
-    """Check |lambda(t) - lambda(0)| <= n0 (e^{C t} - 1) along a recorded trace."""
-    times = np.asarray(times, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    drift = np.abs(lams - lams[0])
-    bound = n0 * (np.exp(growth_c * (times - times[0])) - 1.0)
-    margins = bound - drift
-    worst = float(margins.min())
-    return GrowthReport(worst >= -1e-12 * (1.0 + n0), worst, growth_c)
-
-
-def growth_constant_from_trace(u_trace, udot_trace, exps: ExponentTable) -> float:
-    """Sup-norm growth constant C = (2/(m-2)) max_t sup |u_t / u| along a path."""
-    worst = 0.0
-    for u, ud in zip(u_trace, udot_trace):
-        worst = max(worst, float(np.abs(ud.values / u.values).max()))
-    return (2.0 / (exps.m - 2)) * worst
 
 
 # ---------------------------------------------------------------------------

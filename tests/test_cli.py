@@ -414,3 +414,40 @@ class TestValidators:
         assert data["pass"]
         assert abs(data["cn_order"] - 2.0) <= 0.1
         assert data["random_sweep_pass"] == "20/20"
+
+
+FLOW_FORMULAS = {"flow_rhs", "volume_invariant", "eigen_tracking"}
+RATE_FORMULAS = {"eigen_rate", "spinor_rate"}
+
+
+class TestReportKeys:
+    """Each command's JSON report holds exactly these keys; a `formulas` tag
+    names only the formulas that command ran."""
+
+    @pytest.mark.parametrize("command, report, keys, formulas", [
+        ("spectrum", "spectrum.json",
+         {"config", "target", "eigenvalues", "clusters", "max_constraint_residual",
+          "iterations"}, None),
+        ("flow", "summary.json",
+         {"config", "steps", "final_time", "final_lambda", "volume_drift",
+          "max_constraint_residual", "abort_reason", "iterations", "residual",
+          "solver_stats", "formulas"}, FLOW_FORMULAS),
+        ("perturb-validate", "perturb_validate.json",
+         {"lambda_rate_slope", "lambda_rate_errors", "spinor_rate_slope",
+          "spinor_rate_errors", "uniform_scaling_error", "norm_rate_identity", "pass",
+          "formulas"}, RATE_FORMULAS),
+        ("parabolic-validate", "parabolic_validate.json",
+         {"cn_errors", "cn_order", "heat_mode_error", "energy_estimate",
+          "random_sweep_pass", "a1_constant", "a2_violation", "uniqueness_diff", "pass"},
+         None),
+        ("covariance-check", "covariance_check.json",
+         {"residual_f_zero", "residual_f_constant", "residual_band_limited", "pass"}, None),
+    ], ids=["spectrum", "flow", "perturb-validate", "parabolic-validate", "covariance-check"])
+    def test_key_set(self, tmp_path, monkeypatch, command, report, keys, formulas):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out"))
+        assert main([command, "--config", "f.cfg"]) == EXIT_OK
+        data = json.loads((tmp_path / "out" / report).read_text())
+        assert set(data) == keys
+        if formulas is not None:
+            assert set(data["formulas"]) == formulas

@@ -23,6 +23,7 @@ from edtorus.flow import (
     linearized_flow_operator,
     prepare_initial_state,
     rhs_u,
+    rk4_step,
     run,
     stationarity_residual,
     step,
@@ -154,6 +155,20 @@ class TestActionAndStationarity:
         assert r1 > 1e-2
 
 
+class TestRk4Step:
+    def test_exact_for_cubic_rate_and_linear_growth(self):
+        # y[0]' = 3 t^2 is integrated exactly; y[1:]' = y[1:] gains the
+        # degree-4 Taylor polynomial of exp(dt)
+        def rate(t, y):
+            return np.concatenate([[3.0 * t ** 2], y[1:]])
+
+        t, dt = 0.5, 0.25
+        y = rk4_step(rate, t, dt, np.array([1.0, 1.0, -2.0]))
+        assert y[0] == pytest.approx(1.0 + (t + dt) ** 3 - t ** 3, abs=1e-15)
+        growth = 1 + dt + dt ** 2 / 2 + dt ** 3 / 6 + dt ** 4 / 24
+        assert np.abs(y[1:] - growth * np.array([1.0, -2.0])).max() <= 1e-15
+
+
 class TestStep:
     def test_flat_state_is_fixed(self, exps, spin):
         grid = TorusGrid(6)
@@ -237,7 +252,7 @@ class TestRun:
         horizon = 0.05
         cfg = FlowConfig(horizon=horizon, projection_period=5, eigen_count=8,
                          gap_tol=2e-4, resolvent_tol=1e-9)
-        traj = run(u0, 0.87, cfg, keep_states=True)
+        traj = run(u0, 0.87, cfg)
         assert traj.abort_reason is None
         u_end = traj.final_state.u
         assert np.abs(u_end.values - 1.0).max() <= 2 * eps

@@ -11,6 +11,7 @@ from edtorus.errors import (
     ParameterTooSmall,
 )
 from edtorus.fields import (
+    ScalarField,
     TorusGrid,
     constant_field,
     field_from_function,
@@ -19,7 +20,6 @@ from edtorus.fields import (
 )
 from edtorus.parabolic import (
     FiberLinear,
-    GradContract,
     Multiply,
     NonlocalOperator,
     ParabolicProblem,
@@ -55,9 +55,14 @@ def ones(grid):
 
 def composed_operator(grid, rng):
     b = tuple(0.3 * random_band_limited(grid, rng) for _ in range(3))
+
+    def contract(w, _t):  # b . grad w
+        dw = gradient(ScalarField(grid, w))
+        return b[0] * dw[0] + b[1] * dw[1] + b[2] * dw[2]
+
     return NonlocalOperator(grid, [
         Multiply(constant_provider(1.0 + 0.5 * random_band_limited(grid, rng))),
-        GradContract(lambda t, _b=b: _b),
+        FiberLinear(contract, bound=float(np.sqrt(b[0] ** 2 + b[1] ** 2 + b[2] ** 2).max())),
         RankOne(constant_provider(random_band_limited(grid, rng)),
                 constant_provider(random_band_limited(grid, rng))),
     ])
@@ -228,6 +233,20 @@ def counted_transforms(monkeypatch):
     return calls
 
 
+def recorded_gmres_iterations(monkeypatch):
+    """Record the iteration count of every `_gmres` call from here on."""
+    iterations = []
+    gmres = parabolic._gmres
+
+    def recorded(*args):
+        out = gmres(*args)
+        iterations.append(out[2])
+        return out
+
+    monkeypatch.setattr(parabolic, "_gmres", recorded)
+    return iterations
+
+
 class TestStepSolve:
     """The implicit step (I + theta dt G_t) w = rhs against a dense solve."""
 
@@ -254,16 +273,17 @@ class TestStepSolve:
         dense = eye + self.THETA_DT * np.column_stack(
             [_spatial_operator(prob, a, e.reshape(g.shape), self.T).reshape(-1) for e in eye])
         expect = np.linalg.solve(dense, rhs.reshape(-1)).reshape(g.shape)
-        got = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        got, g_got = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
-        resid = rhs - (got + self.THETA_DT * _spatial_operator(prob, a, got, self.T))
+        assert np.array_equal(g_got, _spatial_operator(prob, a, got, self.T))
+        resid = rhs - (got + self.THETA_DT * g_got)
         assert np.linalg.norm(resid) <= STEP_GMRES_RTOL * np.linalg.norm(rhs)
 
     def test_random_start_same_solution(self, step_problem, rng):
         prob, rhs = step_problem
-        zero = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        zero, _ = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
         x0 = rng.standard_normal(prob.grid.num_points)
-        started = _step_solve(prob, self.THETA_DT, self.T, rhs, x0)
+        started, _ = _step_solve(prob, self.THETA_DT, self.T, rhs, x0)
         assert np.abs(started - zero).max() <= 1e-12 * np.abs(zero).max()
 
     def test_exhausted_cycles_raise(self, step_problem, monkeypatch):
@@ -280,20 +300,26 @@ class TestStepSolve:
         iteration, plus the one pair of the true residual that ends the
         (single) cycle."""
         prob, rhs = step_problem
-        iterations = []
-        gmres = parabolic._gmres
-
-        def recorded(*args):
-            out = gmres(*args)
-            iterations.append(out[2])
-            return out
-
-        monkeypatch.setattr(parabolic, "_gmres", recorded)
+        iterations = recorded_gmres_iterations(monkeypatch)
         calls = counted_transforms(monkeypatch)
         _step_solve(prob, self.THETA_DT, self.T, rhs, None)
         its = iterations[0]
         assert its >= 3
         assert calls.count("fftn") == its + 1 and calls.count("ifftn") == its + 1
+
+    def test_crank_nicolson_fft_count(self, step_problem, monkeypatch):
+        """A Crank-Nicolson march applies G on its own once, at step 0: each
+        later right-hand side reuses the G w of the previous step's last
+        residual check, so a step costs its GMRES iterations plus the one
+        pair of that check."""
+        prob, _rhs = step_problem
+        iterations = recorded_gmres_iterations(monkeypatch)
+        calls = counted_transforms(monkeypatch)
+        solve(prob, "crank_nicolson")
+        assert len(iterations) == prob.steps
+        # every step converges in one GMRES cycle, ended by one residual check
+        expected = sum(iterations) + prob.steps + 1
+        assert calls.count("fftn") == expected and calls.count("ifftn") == expected
 
 
 class TestGarding:
