@@ -393,6 +393,7 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
     udot = field_from_function(
         grid, lambda x, y, z: np.cos(x) + 0.4 * np.cos(y) + 0.3 * np.cos(x + z))
 
+    reset_solver_stats()
     study = fd_study(u, udot, 0.88, exps)
     lam_rep, psi_rep = study.lam, study.psi
 
@@ -413,6 +414,7 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
         "uniform_scaling_error": float(scaling_err),
         "norm_rate_identity": float(psi_rep.extras["norm_rate"]),
         "pass": bool(ok),
+        "solver_stats": solver_stats(),
         "formulas": RATE_FORMULA_VERSIONS,
     })
     print(f"perturb-validate: lambda slope {lam_rep.slope:.3f}, "

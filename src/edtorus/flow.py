@@ -130,17 +130,23 @@ def action_value(u: ScalarField, pair: EigenPair,
     return integrate_values(u.grid, integrand)
 
 
-def stationarity_residual(u: ScalarField, pair: EigenPair,
-                          exps: ExponentTable) -> tuple:
-    """L^2 residuals of the coupled stationary system (scalar, constraint)."""
+def _stationary_parts(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> tuple:
+    """The energy int u L_g u, the L^2 scalar residual of the stationary
+    system and its Dirac residual field D psi - lambda u^{p1} psi, from one
+    conformal Laplacian and one Dirac application."""
     lu = conformal_laplacian(u, exps).values
     dens = pointwise_norm_sq(pair.psi)
     energy = integrate_values(u.grid, u.values * lu)
     weight = integrate_values(u.grid, u.values ** exps.p1 * dens)
     scalar_resid = lu - (energy / weight) * dens * u.values ** exps.p2
     r1 = float(np.sqrt(integrate_values(u.grid, scalar_resid ** 2)))
-    dpsi = apply_dirac(pair.psi).values
-    spin_resid = dpsi - pair.lam * (u.values ** exps.p1)[..., None] * pair.psi.values
+    return energy, r1, pair.dirac_residual(u, exps)
+
+
+def stationarity_residual(u: ScalarField, pair: EigenPair,
+                          exps: ExponentTable) -> tuple:
+    """L^2 residuals of the coupled stationary system (scalar, constraint)."""
+    _energy, r1, spin_resid = _stationary_parts(u, pair, exps)
     r2 = float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(spin_resid) ** 2)))
     return r1, r2
 
@@ -163,13 +169,12 @@ class FlowState:
     stage_pairs: tuple = ()             # RK4 stage pairs of the step that made it
 
     def with_diagnostics(self, exps: ExponentTable) -> "FlowState":
-        r1, r2 = stationarity_residual(self.u, self.pair, exps)
+        energy, r1, spin_resid = _stationary_parts(self.u, self.pair, exps)
         return replace(
             self,
-            energy=integrate_values(self.u.grid, self.u.values *
-                                    conformal_laplacian(self.u, exps).values),
+            energy=energy,
             vol=volume(self.u, exps),
-            constraint_residual=self.pair.constraint_residual(self.u, exps),
+            constraint_residual=self.pair.relative_size(spin_resid),
             stationarity=r1,
             min_u=self.u.min(),
         )

@@ -258,11 +258,17 @@ class EigenPair:
     lam: float
     psi: SpinorField
 
-    def constraint_residual(self, u: ScalarField, exps: ExponentTable) -> float:
-        d = apply_dirac(self.psi).values
+    def dirac_residual(self, u: ScalarField, exps: ExponentTable) -> np.ndarray:
+        """D psi - lambda u^{p1} psi on the grid: one Dirac application."""
         w = u.values ** exps.p1
-        resid = d - self.lam * w[..., None] * self.psi.values
-        num = np.sqrt(np.sum(np.abs(resid) ** 2))
+        return apply_dirac(self.psi).values - self.lam * w[..., None] * self.psi.values
+
+    def constraint_residual(self, u: ScalarField, exps: ExponentTable) -> float:
+        return self.relative_size(self.dirac_residual(u, exps))
+
+    def relative_size(self, values: np.ndarray) -> float:
+        """|values| / |psi| in the l2 norm of grid values."""
+        num = np.sqrt(np.sum(np.abs(values) ** 2))
         den = np.sqrt(np.sum(np.abs(self.psi.values) ** 2))
         return float(num / den)
 

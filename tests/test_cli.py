@@ -9,6 +9,7 @@ import pytest
 import edtorus.cli
 import edtorus.flow
 import edtorus.pencil
+import edtorus.perturb
 from edtorus.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -407,6 +408,32 @@ class TestValidators:
         assert abs(data["lambda_rate_slope"] - 2.0) <= 0.1
         assert abs(data["spinor_rate_slope"] - 2.0) <= 0.1
 
+    def test_perturb_validate_solver_stats(self, tmp_path):
+        # the six refined perturbed pairs, counted from a reset; a rerun
+        # reproduces the report byte for byte
+        for out in ("out1", "out2"):
+            (tmp_path / f"{out}.cfg").write_text(f"output.dir = {out}\n")
+            r = run_cli(["perturb-validate", "--config", f"{out}.cfg"], tmp_path)
+            assert r.returncode == EXIT_OK, r.stdout + r.stderr
+        data = json.loads((tmp_path / "out1" / "perturb_validate.json").read_text())
+        stats = data["solver_stats"]
+        assert stats["refine_pair_calls"] == 6
+        assert stats["window_solves"] == stats["lobpcg_iterations"] == 0
+        assert stats["minres_solves"] > 0 and stats["minres_iterations"] > 0
+        assert ((tmp_path / "out1" / "perturb_validate.json").read_bytes()
+                == (tmp_path / "out2" / "perturb_validate.json").read_bytes())
+
+    def test_perturb_validate_refinement_failure_exits_2(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def failing_refine(*_args, **_kwargs):
+            raise ConvergenceFailure("pair refinement stalled", iterations=5, residual=1e-6)
+
+        monkeypatch.setattr(edtorus.perturb, "refine_pair", failing_refine)
+        monkeypatch.chdir(tmp_path)
+        assert main(["perturb-validate"]) == EXIT_CONVERGENCE
+        assert "ConvergenceFailure: pair refinement stalled" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "perturb_validate.json").exists()
+
     def test_parabolic_validate(self, tmp_path):
         r = run_cli(["parabolic-validate"], tmp_path)
         assert r.returncode == EXIT_OK, r.stdout + r.stderr
@@ -435,7 +462,7 @@ class TestReportKeys:
         ("perturb-validate", "perturb_validate.json",
          {"lambda_rate_slope", "lambda_rate_errors", "spinor_rate_slope",
           "spinor_rate_errors", "uniform_scaling_error", "norm_rate_identity", "pass",
-          "formulas"}, RATE_FORMULAS),
+          "solver_stats", "formulas"}, RATE_FORMULAS),
         ("parabolic-validate", "parabolic_validate.json",
          {"cn_errors", "cn_order", "heat_mode_error", "energy_estimate",
           "random_sweep_pass", "a1_constant", "a2_violation", "uniqueness_diff", "pass"},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import edtorus.flow
+import edtorus.pencil
 from edtorus.conformal import conformal_laplacian, laplacian, total_energy
 from edtorus.dirac import quaternionic_j
 from edtorus.errors import ConvergenceFailure, NoSimpleEigenvalue, SmallGap
@@ -11,6 +12,7 @@ from edtorus.fields import (
     constant_field,
     field_from_function,
     fourier_transform,
+    integrate_values,
     scalar_field,
 )
 from edtorus.flow import (
@@ -153,6 +155,35 @@ class TestActionAndStationarity:
         grid, u, pair = state6
         r1, _ = stationarity_residual(u, pair, exps)
         assert r1 > 1e-2
+
+    def test_diagnostics_transform_once(self, state6, exps, monkeypatch):
+        """One diagnostics call applies the conformal Laplacian once (for the
+        stationarity residual and the energy) and the Dirac operator once
+        (for the constraint residual), with the values of the separate
+        functions."""
+        grid, u, pair = state6
+        expected = (stationarity_residual(u, pair, exps)[0],
+                    pair.constraint_residual(u, exps),
+                    integrate_values(grid, u.values * conformal_laplacian(u, exps).values))
+        counts = {"laplacian": 0, "dirac": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(edtorus.flow, "conformal_laplacian",
+                            counting("laplacian", edtorus.flow.conformal_laplacian))
+        monkeypatch.setattr(edtorus.flow, "apply_dirac",
+                            counting("dirac", edtorus.flow.apply_dirac))
+        monkeypatch.setattr(edtorus.pencil, "apply_dirac",
+                            counting("dirac", edtorus.pencil.apply_dirac))
+        state = FlowState(0.0, u, pair, gap=0.07).with_diagnostics(exps)
+        assert counts == {"laplacian": 1, "dirac": 1}
+        assert state.stationarity == expected[0]
+        assert state.constraint_residual == expected[1]
+        assert state.energy == expected[2]
 
 
 class TestRk4Step:

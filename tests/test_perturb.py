@@ -12,7 +12,7 @@ from edtorus.fields import (
     weighted_spinor_inner,
     weighted_spinor_inner_c,
 )
-from edtorus.pencil import EigenPair, dense_oracle
+from edtorus.pencil import EigenPair, dense_oracle, refine_pair
 from edtorus.perturb import (
     fd_study,
     lambda_dot,
@@ -189,23 +189,58 @@ class TestPsiDot:
 
 
 class TestFDStudy:
-    def test_one_dense_oracle_per_field(self, exps, spin, monkeypatch):
-        """u and u +- h udot for each step h are diagonalized once each, and
-        both reports and the base pair come from those oracles."""
-        built = []
+    def test_one_dense_oracle_then_refined_pairs(self, exps, spin, monkeypatch):
+        """Only u is diagonalized: the base pair is its tracked pair, and the
+        pair at each u +- h udot is `refine_pair` started from the base pair."""
+        built, refined = [], []
 
         def counting_oracle(u, *args):
             built.append(u.values)
             return dense_oracle(u, *args)
 
+        def recording_refine(u, pair, exps, **kwargs):
+            refined.append((u.values, pair))
+            return refine_pair(u, pair, exps, **kwargs)
+
         monkeypatch.setattr("edtorus.perturb.dense_oracle", counting_oracle)
+        monkeypatch.setattr("edtorus.perturb.refine_pair", recording_refine)
         grid = TorusGrid(6)
+        u, udot = generic_u(grid), generic_direction(grid)
         steps = (1e-2, 5e-3)
-        study = fd_study(generic_u(grid), generic_direction(grid), LAM_REF, exps, spin,
-                         steps=steps)
-        assert len(built) == 1 + 2 * len(steps)
-        assert np.array_equal(built[0], generic_u(grid).values)
+        study = fd_study(u, udot, LAM_REF, exps, spin, steps=steps)
+        assert len(built) == 1
+        assert np.array_equal(built[0], u.values)
+        assert len(refined) == 2 * len(steps)
+        perturbed = [u.values + sign * h * udot.values for h in steps for sign in (1, -1)]
+        for (values, start), expected_values in zip(refined, perturbed):
+            assert np.array_equal(values, expected_values)
+            assert start is study.base
         assert len(study.lam.errors) == len(study.psi.errors) == len(steps)
-        expected = tracked_pair(dense_oracle(generic_u(grid), spin, exps).window(LAM_REF, 2),
-                                LAM_REF)
+        expected = tracked_pair(dense_oracle(u, spin, exps).window(LAM_REF, 2), LAM_REF)
         assert study.base.lam == expected.lam
+
+    def test_refined_pairs_match_dense_oracle(self, exps, spin, monkeypatch):
+        """Each refined pair at u +- h udot holds the dense oracle's tracked
+        eigenvalue there to 1e-12 and lies in its Kramers eigenspace to an
+        angle of 1e-9."""
+        refined = []
+
+        def recording_refine(u, pair, exps, **kwargs):
+            out = refine_pair(u, pair, exps, **kwargs)
+            refined.append((u, out))
+            return out
+
+        monkeypatch.setattr("edtorus.perturb.refine_pair", recording_refine)
+        grid = TorusGrid(6)
+        study = fd_study(generic_u(grid), generic_direction(grid), LAM_REF, exps, spin,
+                         steps=(1e-2, 5e-3))
+        assert len(refined) == 4
+        for u, pair in refined:
+            dense = dense_oracle(u, spin, exps)
+            sel = dense.nearest_indices(study.base.lam, 2)
+            assert abs(pair.lam - dense.eigenvalues[sel].mean()) <= 1e-12
+            chi = dense.pencil.from_spinor(pair.psi)
+            chi = chi / np.linalg.norm(chi)
+            basis = dense.eigenvectors[:, sel]
+            sin_angle = np.linalg.norm(chi - basis @ (basis.conj().T @ chi))
+            assert sin_angle <= 1e-9
