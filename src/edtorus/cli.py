@@ -93,10 +93,13 @@ class RunConfig:
 
     def get_float(self, key: str) -> float:
         try:
-            return float(self.values[key])
+            value = float(self.values[key])
         except ValueError:
-            raise ValidationError(f"key {key} expects a number, got {self.values[key]!r}",
-                                  key=key) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(f"key {key} expects a finite number, got {self.values[key]!r}",
+                                  key=key)
+        return value
 
     def normalized(self) -> str:
         return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values))
@@ -141,7 +144,7 @@ def _validate(cfg: RunConfig) -> None:
     if kind not in ("constant", "trig", "file"):
         raise ValidationError(f"initial.kind must be constant|trig|file, got {kind!r}",
                               key="initial.kind")
-    if kind == "constant" and terms and not 0 < cfg.get_float("initial.terms") < math.inf:
+    if kind == "constant" and terms and cfg.get_float("initial.terms") <= 0:
         raise ValidationError(f"constant initial.terms must be a finite number > 0, got {terms!r}",
                               key="initial.terms")
     if kind == "trig" and not terms.startswith("random"):
@@ -163,7 +166,8 @@ def _validate(cfg: RunConfig) -> None:
                               key="flow.projection_period")
     if cfg.get_int("output.stride") < 0:
         raise ValidationError("output.stride must be >= 0", key="output.stride")
-    cfg.get_int("seed")
+    if cfg.get_int("seed") < 0:
+        raise ValidationError("seed must be >= 0", key="seed")
 
 
 def _parse_shift(text: str):

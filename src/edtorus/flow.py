@@ -66,7 +66,6 @@ from .pencil import (
 from .perturb import (
     default_gap_tol,
     projected_resolvent,
-    quaternion_align,
     renormalize,
     tracked_pair,
 )
@@ -93,15 +92,22 @@ def _require_finite(what: str, *parts) -> None:
         raise NonFiniteState(f"non-finite {what}")
 
 
-def rhs_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
-    """Time derivative of the conformal factor, coefficient in ratio form."""
-    if u.min() <= 0.0:
-        raise PositivityLoss(f"conformal factor min {u.min():.3e}")
+def _ratio_bracket(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> tuple:
+    """The energy int u L_g u and the ratio-form bracket
+    L_g u - (energy / int u^{p1} |psi|^2) |psi|^2 u^{p2}, from one conformal
+    Laplacian."""
     lu = conformal_laplacian(u, exps).values
     dens = pointwise_norm_sq(pair.psi)
     energy = integrate_values(u.grid, u.values * lu)
     weight = integrate_values(u.grid, u.values ** exps.p1 * dens)
-    bracket = lu - (energy / weight) * dens * u.values ** exps.p2
+    return energy, lu - (energy / weight) * dens * u.values ** exps.p2
+
+
+def rhs_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
+    """Time derivative of the conformal factor, coefficient in ratio form."""
+    if u.min() <= 0.0:
+        raise PositivityLoss(f"conformal factor min {u.min():.3e}")
+    _energy, bracket = _ratio_bracket(u, pair, exps)
     rate = -(u.values ** (1.0 - exps.p3)) * bracket
     _require_finite("rate of u", rate)
     return scalar_field(u.grid, rate)
@@ -134,11 +140,7 @@ def _stationary_parts(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> t
     """The energy int u L_g u, the L^2 scalar residual of the stationary
     system and its Dirac residual field D psi - lambda u^{p1} psi, from one
     conformal Laplacian and one Dirac application."""
-    lu = conformal_laplacian(u, exps).values
-    dens = pointwise_norm_sq(pair.psi)
-    energy = integrate_values(u.grid, u.values * lu)
-    weight = integrate_values(u.grid, u.values ** exps.p1 * dens)
-    scalar_resid = lu - (energy / weight) * dens * u.values ** exps.p2
+    energy, scalar_resid = _ratio_bracket(u, pair, exps)
     r1 = float(np.sqrt(integrate_values(u.grid, scalar_resid ** 2)))
     return energy, r1, pair.dirac_residual(u, exps)
 
@@ -210,14 +212,6 @@ def _check_positivity(u: ScalarField) -> None:
         raise PositivityLoss(f"min u = {u.min():.3e} below floor {POSITIVITY_FLOOR:.1e}")
 
 
-def _pair_at(u: ScalarField, guess: EigenPair, exps: ExponentTable,
-             config: FlowConfig) -> EigenPair:
-    """The tracked eigenpair at u: `refine_pair` started from guess, to the
-    stage tolerance `resolvent_tol`, and gauge-aligned to guess."""
-    fresh = refine_pair(u, guess, exps, tol=config.resolvent_tol)
-    return EigenPair(fresh.lam, quaternion_align(fresh.psi, guess.psi, u, exps))
-
-
 def rk4_step(rate, t: float, dt: float, y: np.ndarray) -> np.ndarray:
     """One classical RK4 step of y' = rate(t, y)."""
     k1 = rate(t, y)
@@ -248,7 +242,7 @@ def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
                 lo, hi = previous[len(pairs) - 1], previous[len(pairs)]
                 guess = EigenPair(guess.lam + (hi.lam - lo.lam), SpinorField(
                     grid, spin, guess.psi.values + (hi.psi.values - lo.psi.values)))
-            pair = _pair_at(u, guess, exps, config)
+            pair = refine_pair(u, guess, exps, tol=config.resolvent_tol)
         pairs.append(pair)
         return rhs_u(u, pair, exps).values
 
@@ -256,8 +250,8 @@ def _rk4_step(state: FlowState, dt: float, exps: ExponentTable,
     _require_finite(f"RK4 step to t = {state.t + dt!r}", u1)
     u_new = scalar_field(grid, u1)
     _check_positivity(u_new)
-    return FlowState(state.t + dt, u_new, _pair_at(u_new, pairs[-1], exps, config),
-                     state.gap, stage_pairs=tuple(pairs))
+    pair = refine_pair(u_new, pairs[-1], exps, tol=config.resolvent_tol)
+    return FlowState(state.t + dt, u_new, pair, state.gap, stage_pairs=tuple(pairs))
 
 
 def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
@@ -276,8 +270,8 @@ def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
     _require_finite(f"IMEX step to t = {state.t + dt!r}", u1_vals)
     u_new = scalar_field(grid, u1_vals)
     _check_positivity(u_new)
-    return FlowState(state.t + dt, u_new, _pair_at(u_new, state.pair, exps, config),
-                     state.gap)
+    pair = refine_pair(u_new, state.pair, exps, tol=config.resolvent_tol)
+    return FlowState(state.t + dt, u_new, pair, state.gap)
 
 
 def step(state: FlowState, dt: float, exps: ExponentTable,

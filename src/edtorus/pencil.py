@@ -650,12 +650,19 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
     Raises ConvergenceFailure when an inner solve fails (with its iterations
     and residual) or when max_steps sweeps leave the residual above tol
     (with the MINRES iterations of all sweeps).
+
+    The pair is returned in the gauge of its start chi_0: V (V^H chi_0)
+    normalized, V the `kramers_deflation` basis at the refined chi, which is
+    the u-weighted projection of the start onto span{psi, J psi}, the unit
+    quaternionic multiple nearest it.  That span is the eigenspace only where
+    J commutes with C (the default spin structure); elsewhere the result is
+    the same projection, a mixture of the refined chi and J chi.
     """
     _STATS["refine_pair_calls"] += 1
     pencil = Pencil(u, pair.psi.spin, exps)
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
 
-    chi = pencil.from_spinor(pair.psi)
+    start = chi = pencil.from_spinor(pair.psi)
     c_chi = pencil.apply(chi)
     iterations = 0
     for sweep in range(max_steps + 1):
@@ -665,7 +672,8 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
         resid_vec = c_chi - lam * chi
         resid = float(np.linalg.norm(resid_vec))
         if resid <= eff_tol:
-            return EigenPair(lam, pencil.to_spinor(chi))
+            V = kramers_deflation(pencil, chi).basis
+            return EigenPair(lam, pencil.to_spinor(V @ (V.conj().T @ start)))
         if sweep == max_steps:
             raise ConvergenceFailure("pair refinement stalled", iterations=iterations,
                                      residual=resid)

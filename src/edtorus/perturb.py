@@ -9,7 +9,8 @@ The tracked pair (lambda(t), psi(t)) of the pencil at u(t) obeys
 with P the weighted projection onto the quaternionic eigenspace span{psi, J psi}.
 Both rates are implemented in ratio form (no unit-norm assumption) and are
 validated against centered finite differences: the base pair comes from the
-dense oracle, each perturbed pair from `refine_pair` started at the base pair.
+dense oracle, each perturbed pair from `refine_pair` started at the base pair,
+which returns it in the base pair's gauge.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import quaternionic_j
 from .errors import ConvergenceFailure, SmallGap, ZeroEigenvalue
 from .fields import (
     ExponentTable,
@@ -28,7 +28,6 @@ from .fields import (
     integrate_values,
     scalar_field,
     weighted_spinor_inner,
-    weighted_spinor_inner_c,
 )
 from .pencil import (
     DEFAULT_GAP_TOL,
@@ -122,27 +121,6 @@ def psi_dot(u: ScalarField, udot: ScalarField, pair: EigenPair, lamdot: float,
     return SpinorField(u.grid, pair.psi.spin, vals)
 
 
-def quaternion_align(candidate: SpinorField, reference: SpinorField,
-                     u: ScalarField, exps: ExponentTable) -> SpinorField:
-    """Unit quaternionic multiple of `candidate` closest to `reference`.
-
-    Least squares over span{psi, J psi}: the aligned spinor is the normalized
-    weighted projection of the reference onto the candidate's quaternionic
-    line, which maximizes Re (aligned, reference)_u over unit coefficients.
-    """
-    jcand = quaternionic_j(candidate)
-    n2 = weighted_spinor_inner(u, candidate, candidate, exps)
-    c1 = weighted_spinor_inner_c(u, candidate, reference, exps)
-    c2 = weighted_spinor_inner_c(u, jcand, reference, exps)
-    norm = np.sqrt((abs(c1) ** 2 + abs(c2) ** 2) / n2)
-    if norm == 0.0:
-        return candidate
-    vals = (c1 * candidate.values + c2 * jcand.values) / (norm * n2)
-    out = SpinorField(candidate.grid, candidate.spin, vals)
-    scale = weighted_spinor_inner(u, out, out, exps)
-    return SpinorField(candidate.grid, candidate.spin, out.values / np.sqrt(scale))
-
-
 def renormalize(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> EigenPair:
     n = np.sqrt(pair_weight(u, pair, exps))
     return EigenPair(pair.lam, SpinorField(pair.psi.grid, pair.psi.spin, pair.psi.values / n))
@@ -150,11 +128,10 @@ def renormalize(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> EigenPa
 
 def tracked_pair(window: SpectrumWindow, lam_ref: float) -> EigenPair:
     """The tracked Kramers pair of a window: the cluster nearest lam_ref, its
-    mean eigenvalue and its first member, normalized in the u-weighted inner
-    product."""
+    mean eigenvalue and its first member (window pairs are normalized in the
+    u-weighted inner product)."""
     cluster = window.cluster_near(lam_ref)
-    pair = EigenPair(cluster.mean, window.pairs[cluster.members[0]].psi)
-    return renormalize(window.u, pair, window.exps)
+    return EigenPair(cluster.mean, window.pairs[cluster.members[0]].psi)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +182,9 @@ def fd_study(u: ScalarField, udot: ScalarField, lam_ref: float, exps: ExponentTa
     pair at each perturbed factor u +- h udot is `refine_pair` started from
     the base pair, to the true residual FD_PAIR_TOL, and serves both
     differences; a refinement that fails raises ConvergenceFailure.  The
-    perturbed spinors are put in the continuation gauge: each is the
-    quaternionic multiple of its eigenspace closest to the base spinor.
+    perturbed spinors are in the continuation gauge, which `refine_pair`
+    returns: each is the quaternionic multiple of its eigenspace closest to
+    the base spinor.
     """
     spin = spin or SpinStructure()
     base = tracked_pair(dense_oracle(u, spin, exps).window(lam_ref, 2), lam_ref)
@@ -223,9 +201,7 @@ def fd_study(u: ScalarField, udot: ScalarField, lam_ref: float, exps: ExponentTa
         fd = (pair_p.lam - pair_m.lam) / (2.0 * h)
         fds.append(fd)
         lam_errs.append(abs(fd - ld))
-        phi_p = quaternion_align(pair_p.psi, base.psi, up, exps)
-        phi_m = quaternion_align(pair_m.psi, base.psi, um, exps)
-        fd_psi = (phi_p.values - phi_m.values) / (2.0 * h)
+        fd_psi = (pair_p.psi.values - pair_m.psi.values) / (2.0 * h)
         psi_errs.append(float(np.sqrt(h3 * np.sum(np.abs(fd_psi - pd.values) ** 2))))
 
     # normalization identity: d/dt (psi,psi)_u = p1 int u^{p1-1} u_t |psi|^2 + 2 (psi', psi)_u

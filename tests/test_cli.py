@@ -152,6 +152,21 @@ class TestInitialData:
             parse_config_text(cfg.read_text())
         assert err.value.key == "initial.terms"
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid.length", "nan"), ("grid.length", "inf"), ("eigen.target", "nan"),
+        ("eigen.target", "-inf"), ("eigen.gap_tol", "nan"), ("flow.horizon", "nan"),
+        ("flow.dt", "inf"), ("seed", "-1"),
+    ])
+    def test_nonfinite_values_and_negative_seed_are_config_errors(self, tmp_path, capsys,
+                                                                  key, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"grid.n = 4\n{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
+        assert main(["flow", "--config", str(cfg)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        with pytest.raises(ValidationError) as err:
+            parse_config_text(cfg.read_text())
+        assert err.value.key == key
+
 
 class TestSpectrumCommand:
     def test_flat_cluster_reported(self, tmp_path):

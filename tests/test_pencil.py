@@ -486,6 +486,35 @@ class TestRefinePair:
         assert abs(refined.lam - lam) < 1e-10
         assert refined.constraint_residual(u, exps) < 1e-10
 
+    def test_returns_start_gauge(self, grid6, spin, exps):
+        # start from a random unit quaternionic multiple of the dense pair plus
+        # noise: the refined spinor is the start's normalized u-weighted
+        # projection onto the eigenspace span{psi, J psi}
+        u = generic_u(grid6)
+        dense = dense_oracle(u)
+        sel = dense.nearest_indices(0.88, 2)
+        psi = dense.pair(int(sel[0])).psi
+        jpsi = quaternionic_j(psi)
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a, b = np.array([a, b]) / np.hypot(abs(a), abs(b))
+        noise = 1e-3 * (rng.standard_normal(psi.values.shape)
+                        + 1j * rng.standard_normal(psi.values.shape))
+        start = SpinorField(grid6, spin, a * psi.values + b * jpsi.values + noise)
+        lam = float(dense.eigenvalues[sel].mean())
+        refined = refine_pair(u, EigenPair(lam, start), exps, tol=1e-11).psi
+
+        def inner(x, y):
+            return weighted_spinor_inner_c(u, x, y, exps)
+
+        assert abs(inner(quaternionic_j(refined), start)) < 1e-12
+        assert abs(inner(refined, start).imag) < 1e-12
+        assert inner(refined, start).real > 0
+        proj = inner(psi, start) * psi.values + inner(jpsi, start) * jpsi.values
+        proj = proj / np.sqrt(inner(SpinorField(grid6, spin, proj),
+                                    SpinorField(grid6, spin, proj)).real)
+        assert np.abs(refined.values - proj).max() < 1e-9
+
     def test_stall_carries_minres_iterations(self, grid6, spin, exps):
         # one sweep cannot reach 1e-14 from a pair perturbed at 1e-3: the
         # failure carries the MINRES iterations that sweep spent
