@@ -303,6 +303,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     exps = ExponentTable(3)
     u = build_initial(cfg, grid)
     target = cfg.get_float("eigen.target")
+    reset_solver_stats()
     try:
         window = solve_window(u, target, count=12, spin=spin, exps=exps,
                               seed=cfg.get_int("seed"))
@@ -325,6 +326,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "clusters": clusters,
         "max_constraint_residual": max(residuals),
         "iterations": window.iterations,
+        "solver_stats": solver_stats(),
     })
     write_csv(out / "spectrum.csv", ("index", "lambda", "constraint_residual"),
               [(i, lams[i], residuals[i]) for i in range(len(lams))])

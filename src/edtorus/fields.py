@@ -276,6 +276,13 @@ class KappaSymbols:
     (k1 - i k2, k1 + i k2)), built here only.  With K = max(|kappa|, k_min),
     k_min the smallest nonzero |kappa|, `pencil.deflated_solve` splits its
     operator with kih = K^{-1/2} and S = K^{-1} (sigma.kappa) = (s_diag, s_off).
+
+    j_exact says whether the quaternionic structure J commutes with sigma.kappa,
+    and so with D, with C and with every real function of the symbol.  J sends
+    the mode of momentum kappa to the mode of -kappa, so it does exactly when
+    each axis's momentum set {k + delta} is symmetric: on the even grids only
+    at shift (1/2, 1/2, 1/2), since an unshifted axis has an unpaired Nyquist
+    mode.
     """
 
     kn: np.ndarray         # |kappa|, (n, n, n)
@@ -285,6 +292,7 @@ class KappaSymbols:
     kih: np.ndarray
     s_diag: np.ndarray
     s_off: np.ndarray
+    j_exact: bool
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +305,10 @@ def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
     diag = np.stack([k3, -k3], axis=-1).astype(np.complex128)
     off = np.stack([k1 - 1j * k2, k1 + 1j * k2], axis=-1)
     kih = np.repeat(np.sqrt(inv_k), 2, axis=-1).astype(np.complex128)
+    axis = np.fft.fftfreq(n, d=1.0 / n)
+    j_exact = all(np.array_equal(np.sort(axis + d), np.sort(-(axis + d))) for d in shift)
     return KappaSymbols(_freeze(kn), k_min, _freeze(diag), _freeze(off), _freeze(kih),
-                        _freeze(diag * inv_k), _freeze(off * inv_k))
+                        _freeze(diag * inv_k), _freeze(off * inv_k), j_exact)
 
 
 def apply_spinor_symbol(r_diag: np.ndarray, r_off: np.ndarray, hat: np.ndarray) -> np.ndarray:

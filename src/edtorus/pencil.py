@@ -40,13 +40,14 @@ DEFAULT_GAP_TOL = 1e-3
 
 #: process-local counts of solver work, in report order (`solver_stats`)
 _STATS = dict.fromkeys(("minres_solves", "minres_iterations", "window_solves",
-                        "lobpcg_iterations", "refine_pair_calls"), 0)
+                        "lobpcg_iterations", "refine_pair_calls", "operator_columns"), 0)
 
 
 def solver_stats() -> dict:
     """Solver work in this process since `reset_solver_stats`: MINRES solves
     and iterations, window solves and their LOBPCG iterations, `refine_pair`
-    calls.  Counts only, so a rerun reproduces them exactly."""
+    calls, and the columns `Pencil.apply` has applied C to.  Counts only, so
+    a rerun reproduces them exactly."""
     return dict(_STATS)
 
 
@@ -67,6 +68,8 @@ class Pencil:
         self.weight = u.values ** exps.p1
         self.b_half = u.values ** (0.5 * exps.p1)
         self.dim = 2 * self.grid.num_points
+        #: J commutes with C (`KappaSymbols.j_exact`)
+        self.j_exact = kappa_symbols(self.grid.n, self.grid.length, spin.shift).j_exact
 
     def _c_raw(self, values: np.ndarray) -> np.ndarray:
         """C on values of shape (..., n, n, n, 2)."""
@@ -89,7 +92,13 @@ class Pencil:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply C to a packed vector or to every column of a block."""
+        _STATS["operator_columns"] += x.shape[1] if x.ndim == 2 else 1
         return self.pack(self._c_raw(self.unpack(x)))
+
+    def j(self, x: np.ndarray) -> np.ndarray:
+        """The quaternionic structure J on a packed vector or on every column
+        of a block; antilinear, so J(x c) = J(x) conj(c)."""
+        return self.pack(j_values(self.grid, self.spin, self.unpack(x)))
 
     def to_spinor(self, x: np.ndarray) -> SpinorField:
         """Map an L^2-normalized chi vector to the u-weighted-normalized psi."""
@@ -467,6 +476,125 @@ def _complement_basis(X: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S
 
 
+# -- Kramers half-blocks ------------------------------------------------------
+# Where J commutes with C, a block is held as its half Y: the J-closed span
+# of [Y, J Y], with [Y, J Y] orthonormal.  A hermitian operator A commuting
+# with J has, on that basis, the matrix [[G1, G2], [-conj G2, conj G1]] with
+# G1 = Y^H A Y and G2 = Y^H J (A Y), so A is applied to Y only.  Coefficient
+# vectors (a; b) stand for Y a + J Y b, on which J acts as (-conj b; conj a).
+
+def _quaternionic(G1: np.ndarray, G2: np.ndarray) -> np.ndarray:
+    """The hermitian matrix [[G1, G2], [-conj G2, conj G1]] of a J-closed
+    basis, with G1 made hermitian and G2 antisymmetric."""
+    k = G1.shape[0]
+    H = np.empty((2 * k, 2 * k), dtype=np.complex128)
+    H[:k, :k] = 0.5 * (G1 + G1.conj().T)
+    H[:k, k:] = 0.5 * (G2 - G2.T)
+    H[k:, :k] = -H[:k, k:].conj()
+    H[k:, k:] = H[:k, :k].conj()
+    return H
+
+
+def _j_coeffs(V: np.ndarray) -> np.ndarray:
+    half = V.shape[0] // 2
+    return np.concatenate([-V[half:].conj(), V[:half].conj()])
+
+
+def _lowdin_half(S: np.ndarray, JS: np.ndarray, g: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The first half of the columns of [S, J S] G^{-1/2}, G = U diag(g) U^H
+    the (positive definite) Gram matrix of [S, J S]: the half of an
+    orthonormal J-closed basis of span(S, J S), each column the one nearest
+    its column of S (Lowdin)."""
+    half = S.shape[1]
+    L = (U / np.sqrt(g)) @ U[:half].conj().T
+    return S @ L[:half] + JS @ L[half:]
+
+
+def _one_per_pair(w: np.ndarray, V: np.ndarray, count: int) -> np.ndarray:
+    """At most `count` coefficient vectors Q, with [Q, J Q] orthonormal,
+    taken from the eigenvectors V of a quaternionic hermitian matrix in the
+    order of its eigenvalues w, one per pair.  Every eigenvalue is (at
+    least) doubly degenerate, so the even columns E of V are one per pair
+    unless eigh split a degenerate cluster so that some of them are J of
+    others; while [E, J E] stays well conditioned its Lowdin orthonormal
+    basis is taken.  Otherwise, within each cluster of eigenvalues equal to
+    1e-10 of the largest, the column farthest from the span of [Q, J Q] is
+    orthogonalized against it (twice) and kept, until that span holds the
+    cluster; eigenvectors of distinct eigenvalues are orthogonal, so neither
+    way mixes eigenvalues beyond eigh's own accuracy."""
+    E = V[:, 0:2 * count:2]
+    JE = _j_coeffs(E)
+    g, U = np.linalg.eigh(_quaternionic(E.conj().T @ E, E.conj().T @ JE))
+    if g[0] > 0.5:
+        return _lowdin_half(E, JE, g, U)
+    breaks = np.flatnonzero(np.abs(np.diff(w)) > 1e-10 * np.abs(w).max()) + 1
+    kept = V[:, :0]
+    for cluster in np.split(V, breaks, axis=1):
+        while kept.shape[1] < count:
+            R = cluster
+            for _ in range(2):
+                K = np.hstack([kept, _j_coeffs(kept)])
+                R = R - K @ (K.conj().T @ R)
+            norms = np.linalg.norm(R, axis=0)
+            best = int(np.argmax(norms))
+            if norms[best] < 0.1:
+                break
+            kept = np.hstack([kept, R[:, best:best + 1] / norms[best]])
+    return kept
+
+
+def _kramers_complement(pencil: Pencil, X: np.ndarray, S: np.ndarray,
+                        count: int | None = None) -> np.ndarray:
+    """`_complement_basis` for half-blocks: a half-block Q whose J-closure
+    is the part of the J-closure of S orthogonal to that of X, [X, J X]
+    orthonormal.  Two passes of projection and quaternionic SVQB: the Gram
+    matrix of [S, J S] is quaternionic.  Where it is well conditioned and no
+    more than `count` columns are asked for, Q is the Lowdin half; otherwise
+    one eigenvector per pair is kept, at most `count` of them, largest
+    eigenvalues first, and directions below 1e-7 of the largest singular
+    value are dropped."""
+    JX = pencil.j(X)
+    for _ in range(2):
+        before = np.linalg.norm(S, axis=0)
+        S = S - X @ (X.conj().T @ S) - JX @ (JX.conj().T @ S)
+        after = np.linalg.norm(S, axis=0)
+        keep = after > 1e-10 * before
+        if not keep.any():
+            return S[:, :0]
+        S = S[:, keep] / after[keep]
+        JS = pencil.j(S)
+        gram = _quaternionic(S.conj().T @ S, S.conj().T @ JS)
+        w, V = np.linalg.eigh(gram)
+        if w[0] > 1e-14 * w[-1] and (count is None or S.shape[1] <= count):
+            S = _lowdin_half(S, JS, w, V)
+            continue
+        big = np.flatnonzero(w > 1e-14 * w[-1])[::-1]
+        pairs = len(big) // 2 if count is None else min(count, len(big) // 2)
+        V = _one_per_pair(w[big], V[:, big], pairs)
+        V = V / np.sqrt(np.einsum("ij,ij->j", V.conj(), gram @ V).real)
+        half = S.shape[1]
+        S = S @ V[:half] + JS @ V[half:]
+    return S
+
+
+def _accepted_window(pencil: Pencil, Y: np.ndarray, CY: np.ndarray, count: int,
+                     sigma: float, eff_tol: float, it: int) -> SpectrumWindow | None:
+    """The signed Rayleigh-Ritz of C on span(Y), CY = C Y: the `count` Ritz
+    pairs nearest sigma if all their residuals of C are within eff_tol, else
+    None."""
+    Hc = Y.conj().T @ CY
+    theta, Wc = np.linalg.eigh(0.5 * (Hc + Hc.conj().T))
+    if Y.shape[1] > count:
+        sel = np.sort(np.argsort(np.abs(theta - sigma), kind="stable")[:count])
+        theta, Wc = theta[sel], Wc[:, sel]
+    Z = Y @ Wc
+    if np.linalg.norm(CY @ Wc - Z * theta, axis=0).max() > eff_tol:
+        return None
+    pairs = [EigenPair(float(theta[i]), pencil.to_spinor(_fix_gauge(Z[:, i])))
+             for i in range(count)]
+    return SpectrumWindow(sigma, count, pairs, pencil.u, pencil.exps, iterations=it)
+
+
 def solve_window(u: ScalarField, target: float, count: int,
                  spin: SpinStructure | None = None,
                  exps: ExponentTable | None = None,
@@ -481,15 +609,24 @@ def solve_window(u: ScalarField, target: float, count: int,
     cannot tell the wanted eigenvalues near sigma from their neighbours.
     A is positive semidefinite at every sigma and its smallest eigenvalues
     are exactly the squared distances to sigma, so an eigenvalue at sigma is
-    a zero Ritz value and far clusters cannot alias into the window.  The block holds count + 4 columns, started from plane waves plus
-    seeded noise; columns whose folded residual falls below the lock
-    threshold keep their place in the Rayleigh-Ritz basis but add no search
-    directions (soft locking).  The search directions [W, P] are
-    orthonormalized against X and each other and then multiplied by A afresh;
-    A P is never carried through that transform, whose conditioning degrades
-    as the residuals shrink.  Signed eigenvalues come from a
-    final Rayleigh-Ritz of C on the first `count` columns, accepted only on
-    directly verified residuals of C; the window records the iterations.
+    a zero Ritz value and far clusters cannot alias into the window.  The
+    block holds count + 4 columns, started from plane waves plus seeded
+    noise; columns whose folded residual falls below the lock threshold keep
+    their place in the Rayleigh-Ritz basis but add no search directions
+    (soft locking).  The search directions [W, P] are orthonormalized against
+    X and each other and then multiplied by A afresh; A P is never carried
+    through that transform, whose conditioning degrades as the residuals
+    shrink.  Signed eigenvalues come from a final Rayleigh-Ritz of C on the
+    first `count` columns, accepted only on directly verified residuals of C;
+    the window records the iterations.
+
+    Where J commutes with C (`Pencil.j_exact`, the default spin structure),
+    every eigenvalue is a Kramers pair and A and M commute with J, so the
+    block is the J-closure of ceil(count / 2) + 2 half columns
+    (`_kramers_window`): A and M^2 are applied to the half only, about half
+    the operator work in as many iterations.  The other spin structures keep
+    the plain block: there the J-closure of an eigenvector is not an
+    eigenspace.
     """
     spin = spin or SpinStructure()
     exps = exps or ExponentTable(3)
@@ -500,11 +637,6 @@ def solve_window(u: ScalarField, target: float, count: int,
     _STATS["window_solves"] += 1
     sigma = float(target)
     rng = np.random.default_rng(seed)
-    block = min(count + 4, pencil.dim)
-    X = 1e-3 * (rng.standard_normal((pencil.dim, block))
-                + 1j * rng.standard_normal((pencil.dim, block)))
-    X, _ = np.linalg.qr(X + _flat_guess(pencil, sigma, block))
-
     # chi-residuals overestimate the psi-form constraint residual by at most
     # max(u^p1), so tighten the Ritz threshold accordingly
     eff_tol = tol / max(1.0, float(pencil.weight.max()))
@@ -515,6 +647,14 @@ def solve_window(u: ScalarField, target: float, count: int,
         Y = pencil.apply(Z) - sigma * Z
         return pencil.apply(Y) - sigma * Y
 
+    if pencil.j_exact:
+        return _kramers_window(pencil, sigma, count, rng, folded, prec, eff_tol, lock_tol,
+                               max_iter)
+
+    block = min(count + 4, pencil.dim)
+    X = 1e-3 * (rng.standard_normal((pencil.dim, block))
+                + 1j * rng.standard_normal((pencil.dim, block)))
+    X, _ = np.linalg.qr(X + _flat_guess(pencil, sigma, block))
     AX = folded(X)
     S = AS = np.zeros((pencil.dim, 0), dtype=np.complex128)
     for it in range(1, max_iter + 1):
@@ -529,14 +669,9 @@ def solve_window(u: ScalarField, target: float, count: int,
 
         if resid[:count].max() <= 50.0 * eff_tol:
             Y = X[:, :count]
-            CY = pencil.apply(Y)
-            Hc = Y.conj().T @ CY
-            theta, Wc = np.linalg.eigh(0.5 * (Hc + Hc.conj().T))
-            Z = Y @ Wc
-            if np.linalg.norm(CY @ Wc - Z * theta, axis=0).max() <= eff_tol:
-                pairs = [EigenPair(float(theta[i]), pencil.to_spinor(_fix_gauge(Z[:, i])))
-                         for i in range(count)]
-                return SpectrumWindow(sigma, count, pairs, u, exps, iterations=it)
+            window = _accepted_window(pencil, Y, pencil.apply(Y), count, sigma, eff_tol, it)
+            if window is not None:
+                return window
 
         active = resid > lock_tol
         if not active.any():
@@ -547,6 +682,58 @@ def solve_window(u: ScalarField, target: float, count: int,
 
     raise ConvergenceFailure("window iteration did not converge",
                              iterations=it, residual=float(resid[:count].max()))
+
+
+def _kramers_window(pencil: Pencil, sigma: float, count: int, rng, folded, prec,
+                    eff_tol: float, lock_tol: float, max_iter: int) -> SpectrumWindow:
+    """`solve_window`'s LOBPCG on half-blocks, for a pencil whose C commutes
+    with J.  The start is the half of the J-closure of the 2 (ceil(count/2)
+    + 2) plane waves nearest sigma plus seeded noise; the Rayleigh-Ritz of A
+    on the J-closure of [X, S] keeps one Ritz vector per pair
+    (`_one_per_pair`), and its signed Rayleigh-Ritz of C runs on the
+    J-closure of the first ceil(count/2) columns."""
+    wanted = (count + 1) // 2
+    block = min(wanted + 2, pencil.dim // 2)
+    noise = 1e-3 * (rng.standard_normal((pencil.dim, block))
+                    + 1j * rng.standard_normal((pencil.dim, block)))
+    start = _flat_guess(pencil, sigma, 2 * block)
+    start[:, :block] += noise
+    X = _kramers_complement(pencil, start[:, :0], start, count=block)
+    AX = folded(X)
+    S = AS = X[:, :0]
+    for it in range(1, max_iter + 1):
+        _STATS["lobpcg_iterations"] += 1
+        nx = X.shape[1]
+        basis, a_basis = np.hstack([X, S]), np.hstack([AX, AS])
+        j_basis, ja_basis = pencil.j(basis), pencil.j(a_basis)
+        H = _quaternionic(basis.conj().T @ a_basis, basis.conj().T @ ja_basis)
+        w, V = np.linalg.eigh(H)
+        V = _one_per_pair(w, V, block)
+        mu = np.einsum("ij,ij->j", V.conj(), H @ V).real
+        order = np.argsort(mu, kind="stable")
+        mu, V = mu[order], V[:, order]  # ascending squared distances
+        k = basis.shape[1]
+        X, AX = basis @ V[:k] + j_basis @ V[k:], a_basis @ V[:k] + ja_basis @ V[k:]
+        P = S @ V[nx:k] + j_basis[:, nx:] @ V[k + nx:]
+        R = AX - X * mu
+        resid = np.linalg.norm(R, axis=0)
+
+        if resid[:wanted].max() <= 50.0 * eff_tol:
+            Y, CY = X[:, :wanted], pencil.apply(X[:, :wanted])
+            window = _accepted_window(pencil, np.hstack([Y, pencil.j(Y)]),
+                                      np.hstack([CY, pencil.j(CY)]), count, sigma, eff_tol, it)
+            if window is not None:
+                return window
+
+        active = resid > lock_tol
+        if not active.any():
+            break
+        W = prec(prec(R[:, active]))
+        S = _kramers_complement(pencil, X, np.hstack([W, P[:, active]]))
+        AS = folded(S)
+
+    raise ConvergenceFailure("window iteration did not converge",
+                             iterations=it, residual=float(resid[:wanted].max()))
 
 
 @dataclass
@@ -564,12 +751,12 @@ def kramers_deflation(pencil: Pencil, chi: np.ndarray) -> KramersDeflation:
     """The projector off span{chi, J chi}; J chi is orthogonal to chi for
     every chi."""
     chi = chi / np.linalg.norm(chi)
-    jchi = pencil.pack(j_values(pencil.grid, pencil.spin, pencil.unpack(chi)))
+    jchi = pencil.j(chi)
     return KramersDeflation(np.column_stack([chi, jchi / np.linalg.norm(jchi)]))
 
 
-def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.ndarray,
-                   rtol: float, maxiter: int):
+def deflated_solve(pencil: Pencil, deflate: KramersDeflation, c_chi: np.ndarray, lam: float,
+                   b: np.ndarray, rtol: float, maxiter: int):
     """MINRES on the correction equation Q (C - lam) Q y = b, b in range(Q),
     preconditioned by M = L L^H of `ShiftedDiagonalPreconditioner` through
     the split form: plain MINRES on
@@ -580,9 +767,12 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
     With F the unitary grid FFT and V = deflate.basis, S = K^{-1/2} (sigma.kappa)
     K^{-1/2} is pointwise in Fourier space, G = K^{-1/2} F B F^{-1} K^{-1/2} is
     one FFT pair, U = [L^H V, L^H (C - lam) V] and T = [[-H, I], [I, 0]] with
-    H = V^H (C - lam) V.  K^{-1/2} and S come from the cached `kappa_symbols`
-    and -lam B is folded into one array per solve, so an iteration is one FFT
-    pair, four pointwise products and the rank-4 term.  MINRES stops on the
+    H = V^H (C - lam) V.  The caller passes c_chi = C chi for chi = V[:, 0];
+    C (J chi) = J (C chi) where J commutes with C (`Pencil.j_exact`), so the
+    set-up applies C to no column there and to J chi elsewhere.  K^{-1/2} and
+    S come from the cached `kappa_symbols` and -lam B is folded into one
+    array per solve, so an iteration is one FFT pair, four pointwise products
+    and the rank-4 term.  MINRES stops on the
     recomputed residual of the caller's system, |b - Q (C - lam) Q y|_2 <=
     rtol |b|_2.  Returns (Q y, C Q y, info, iterations, resid) of
     `minres_hermitian`, resid that recomputed relative residual of the
@@ -602,7 +792,8 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, lam: float, b: np.
         return pencil.pack(kih * grid_fft(pencil.unpack(x) * b_drop, axes=SPINOR_GRID_AXES))
 
     V = deflate.basis
-    CV = pencil.apply(V) - lam * V
+    c_jchi = pencil.j(c_chi) if pencil.j_exact else pencil.apply(V[:, 1])
+    CV = np.column_stack([c_chi, c_jchi]) - lam * V
     H = V.conj().T @ CV
     T = np.block([[-0.5 * (H + H.conj().T), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
     U = drop(np.column_stack([V, CV, b]))  # one batched FFT for U and L^H b
@@ -679,7 +870,7 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
                                      residual=resid)
         deflate = kramers_deflation(pencil, chi)
         b = -deflate(resid_vec)
-        t, c_t, info, its, rel = deflated_solve(pencil, deflate, lam, b,
+        t, c_t, info, its, rel = deflated_solve(pencil, deflate, c_chi, lam, b,
                                                 0.05 * eff_tol / np.linalg.norm(b), 400)
         iterations += its
         if info != 0:

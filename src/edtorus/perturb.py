@@ -85,7 +85,8 @@ def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
         return SpinorField(u.grid, pair.psi.spin, np.zeros_like(r.values))
 
     bnorm = float(np.linalg.norm(b))
-    y, _cy, _info, iterations, rel_resid = deflated_solve(pencil, deflate, lam, b,
+    c_chi = pencil.apply(deflate.basis[:, 0])
+    y, _cy, _info, iterations, rel_resid = deflated_solve(pencil, deflate, c_chi, lam, b,
                                                           0.05 * tol * scale / bnorm, 1200)
 
     # the deflated-system residual is what the solve controls; for a pair

@@ -230,6 +230,22 @@ class TestSpectrumCommand:
             assert cluster["width"] == rep.cluster_width
             assert cluster["gap_in_window"] == rep.exterior_gap
 
+    def test_solver_stats_of_the_window(self, tmp_path, monkeypatch):
+        # counted from a reset: two runs in one process report the same work
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("grid.n = 6\noutput.dir = out\n")
+        reports = []
+        for _ in range(2):
+            assert main(["spectrum", "--config", "c.cfg"]) == EXIT_OK
+            reports.append(json.loads((tmp_path / "out" / "spectrum.json").read_text()))
+        stats = reports[0]["solver_stats"]
+        assert set(stats) == {"minres_solves", "minres_iterations", "window_solves",
+                              "lobpcg_iterations", "refine_pair_calls", "operator_columns"}
+        assert stats == reports[1]["solver_stats"]
+        assert stats["window_solves"] == 1
+        assert stats["lobpcg_iterations"] == reports[0]["iterations"]
+        assert stats["operator_columns"] > 0 and stats["minres_solves"] == 0
+
     def test_bad_config_exit_code(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("flw.dt = 0.1\n")
         r = run_cli(["spectrum", "--config", "bad.cfg"], tmp_path)
@@ -469,7 +485,7 @@ class TestReportKeys:
     @pytest.mark.parametrize("command, report, keys, formulas", [
         ("spectrum", "spectrum.json",
          {"config", "target", "eigenvalues", "clusters", "max_constraint_residual",
-          "iterations"}, None),
+          "iterations", "solver_stats"}, None),
         ("flow", "summary.json",
          {"config", "steps", "final_time", "final_lambda", "volume_drift",
           "max_constraint_residual", "abort_reason", "iterations", "residual",

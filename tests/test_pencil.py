@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from edtorus.dirac import SIGMA1, SIGMA2, SIGMA3, flat_spectrum_oracle, quaternionic_j
+from edtorus.dirac import (
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    apply_dirac,
+    flat_spectrum_oracle,
+    quaternionic_j,
+)
 from edtorus.errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor
 from edtorus.fields import (
     SpinorField,
@@ -25,6 +32,7 @@ from edtorus.pencil import (
     kramers_deflation,
     minres_hermitian,
     refine_pair,
+    reset_solver_stats,
     rigidity_probe,
     simplicity_gap,
     solve_window,
@@ -160,6 +168,23 @@ class TestKappaSymbols:
                            rtol=1e-15, atol=0)
 
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_j_exact_where_d_commutes_with_j(self, exps, rng, n, shift):
+        # the predicate against |DJv - JDv| <= 1e-13 |v| on random spinors;
+        # on even grids J is exact only at shift (1/2, 1/2, 1/2)
+        grid = TorusGrid(n)
+        spin = SpinStructure(shift)
+        sym = kappa_symbols(n, grid.length, shift)
+        for _ in range(3):
+            v = SpinorField(grid, spin, rng.standard_normal(grid.shape + (2,))
+                            + 1j * rng.standard_normal(grid.shape + (2,)))
+            defect = np.linalg.norm(apply_dirac(quaternionic_j(v)).values
+                                    - quaternionic_j(apply_dirac(v)).values)
+            assert (defect <= 1e-13 * np.linalg.norm(v.values)) == sym.j_exact
+        assert sym.j_exact == (shift == (0.5, 0.5, 0.5))
+        assert Pencil(constant_field(grid, 1.0), spin, exps).j_exact == sym.j_exact
+
     @pytest.mark.parametrize("shift", SHIFTS)
     def test_kernel_applies_pauli_sigma_kappa(self, grid6, rng, shift):
         sym = kappa_symbols(grid6.n, grid6.length, shift)
@@ -183,7 +208,9 @@ class TestDeflatedSolve:
         lam = dense.eigenvalues[i]
         deflate = kramers_deflation(pencil, dense.eigenvectors[:, i])
         b = deflate(rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim))
-        y, cy, info, _iterations, reported = deflated_solve(pencil, deflate, lam, b, 1e-11, 1200)
+        c_chi = pencil.apply(deflate.basis[:, 0])
+        y, cy, info, _iterations, reported = deflated_solve(pencil, deflate, c_chi, lam, b,
+                                                            1e-11, 1200)
         assert info == 0
         assert np.array_equal(cy, pencil.apply(y))
         resid = np.linalg.norm(b - deflate(pencil.apply(y) - lam * y))
@@ -207,8 +234,9 @@ class TestDeflatedSolve:
         dim = dense.pencil.dim
         b = deflate(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         b_before = b.copy()
-        y1, cy1, *rest1 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
-        y2, cy2, *rest2 = deflated_solve(dense.pencil, deflate, lam, b, 1e-11, 1200)
+        c_chi = dense.pencil.apply(deflate.basis[:, 0])
+        y1, cy1, *rest1 = deflated_solve(dense.pencil, deflate, c_chi, lam, b, 1e-11, 1200)
+        y2, cy2, *rest2 = deflated_solve(dense.pencil, deflate, c_chi, lam, b, 1e-11, 1200)
         assert np.array_equal(y1, y2) and np.array_equal(cy1, cy2) and rest1 == rest2
         assert np.array_equal(b, b_before)
 
@@ -316,6 +344,41 @@ class TestSolveWindow:
         free = solve_window(u, 0.87, 12, seed=7)
         assert capped.iterations <= 40
         assert np.abs(capped.eigenvalues - free.eigenvalues).max() <= 1e-12
+
+    def test_acceptance_window_operator_columns(self, grid8):
+        # the Kramers half-block applies C to about half the columns of the
+        # plain block (1,980); the count is deterministic
+        u = generic_u(grid8)
+        counts = []
+        for _ in range(2):
+            reset_solver_stats()
+            solve_window(u, 0.87, 12, seed=7)
+            stats = solver_stats()
+            assert stats["window_solves"] == 1
+            counts.append(stats["operator_columns"])
+        assert counts[0] == counts[1] <= 1100
+
+    def test_kramers_pairs_span_their_clusters(self, grid6, spin, exps):
+        # at the default spin structure each window eigenspinor's J image lies
+        # in the span of its cluster (u-weighted orthonormal)
+        u = generic_u(grid6)
+        win = solve_window(u, 0.87, 12, spin, exps)
+        for cluster in win.clusters():
+            basis = [win.pairs[i].psi for i in cluster.members]
+            for psi in basis:
+                jpsi = quaternionic_j(psi)
+                rest = jpsi.values - sum(weighted_spinor_inner_c(u, b, jpsi, exps) * b.values
+                                         for b in basis)
+                assert np.linalg.norm(rest) <= 1e-12 * np.linalg.norm(jpsi.values)
+
+    def test_odd_count(self, grid6, exps):
+        # 7 of the pairs' members: the J-closed block holds 8, the window the
+        # 7 nearest the target
+        u = generic_u(grid6)
+        win = solve_window(u, 0.87, 7)
+        dense = dense_oracle(u)
+        assert len(win.pairs) == 7
+        assert np.abs(win.eigenvalues - dense.window(0.87, 7).eigenvalues).max() <= 1e-10
 
     def test_rejects_nonpositive_u(self, grid6):
         with pytest.raises(NonPositiveConformalFactor):
@@ -514,6 +577,29 @@ class TestRefinePair:
         proj = proj / np.sqrt(inner(SpinorField(grid6, spin, proj),
                                     SpinorField(grid6, spin, proj)).real)
         assert np.abs(refined.values - proj).max() < 1e-9
+
+    def test_sweep_applies_c_to_no_deflation_basis(self, grid6, spin, exps, monkeypatch):
+        # where J commutes with C, C J chi = J C chi: every application of C
+        # is one column, C chi at the start and one per MINRES residual check
+        u = generic_u(grid6)
+        dense = dense_oracle(u)
+        pair = dense.pair(int(dense.nearest_indices(0.88, 1)[0]))
+        rng = np.random.default_rng(3)
+        noise = 1e-5 * (rng.standard_normal(pair.psi.values.shape)
+                        + 1j * rng.standard_normal(pair.psi.values.shape))
+        rough = EigenPair(pair.lam, SpinorField(grid6, spin, pair.psi.values + noise))
+        widths = []
+        apply = Pencil.apply
+
+        def recording(self, x):
+            widths.append(1 if x.ndim == 1 else x.shape[1])
+            return apply(self, x)
+
+        monkeypatch.setattr(Pencil, "apply", recording)
+        reset_solver_stats()
+        refine_pair(u, rough, exps, tol=1e-10)
+        assert widths and set(widths) == {1}
+        assert solver_stats()["operator_columns"] == len(widths)
 
     def test_stall_carries_minres_iterations(self, grid6, spin, exps):
         # one sweep cannot reach 1e-14 from a pair perturbed at 1e-3: the
