@@ -74,6 +74,12 @@ def flat_spectrum_oracle(grid: TorusGrid, spin: SpinStructure, window):
     window, eigenvalues grouped to 1e-12 relative and sorted ascending.
     Each nonzero mode contributes one +|kappa| and one -|kappa| eigenvector;
     a zero mode (trivial shift only) contributes the 2-dimensional kernel.
+
+    This is the continuum formula, independent of `fields.spinor_momentum`.
+    The grid operator follows it except on the Nyquist planes of unshifted
+    axes, where the grid's momentum component is zero (the spectral rule
+    for odd derivatives, which keeps DJ = JD): there the two differ, and at
+    shift (0, 0, 0) the grid kernel has complex dimension 16, not 2.
     """
     lo, hi = window
     k1, k2, k3 = _integer_modes(grid.n)

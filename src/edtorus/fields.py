@@ -228,10 +228,22 @@ def _integer_modes(n: int):
 
 @lru_cache(maxsize=None)
 def spinor_momentum(n: int, length: float, shift: tuple):
-    """Shifted angular wavevector components (2*pi/L)*(k + delta) for spinors."""
+    """Shifted angular wavevector components (2*pi/L)*(k + delta) for spinors.
+
+    On an axis with shift 0 the component of the unpaired Nyquist mode
+    k = -n/2 is zero, the spectral rule for odd derivatives that
+    `scalar_symbols` applies to the gradient: that mode is its own image
+    under kappa -> -kappa, so any other value breaks the symmetry of the
+    momentum set and with it DJ = JD.  With the rule every axis's momenta
+    are symmetric and J commutes with sigma.kappa at every spin structure.
+    The grid operator then departs from the continuum on the Nyquist planes
+    of unshifted axes; at shift (0, 0, 0) the eight Nyquist-corner momenta
+    are zero and the kernel of D has complex dimension 16, not 2.
+    """
     scale = TWO_PI / length
     return tuple(
-        _freeze(scale * (k + d)) for k, d in zip(_integer_modes(n), shift)
+        _freeze(scale * np.where((k == -(n // 2)) & (d == 0.0), 0.0, k + d))
+        for k, d in zip(_integer_modes(n), shift)
     )
 
 
@@ -276,13 +288,9 @@ class KappaSymbols:
     (k1 - i k2, k1 + i k2)), built here only.  With K = max(|kappa|, k_min),
     k_min the smallest nonzero |kappa|, `pencil.deflated_solve` splits its
     operator with kih = K^{-1/2} and S = K^{-1} (sigma.kappa) = (s_diag, s_off).
-
-    j_exact says whether the quaternionic structure J commutes with sigma.kappa,
-    and so with D, with C and with every real function of the symbol.  J sends
-    the mode of momentum kappa to the mode of -kappa, so it does exactly when
-    each axis's momentum set {k + delta} is symmetric: on the even grids only
-    at shift (1/2, 1/2, 1/2), since an unshifted axis has an unpaired Nyquist
-    mode.
+    The momenta of `spinor_momentum` are symmetric under kappa -> -kappa at
+    every spin structure, so J commutes with sigma.kappa, with D, with C and
+    with every real function of the symbol.
     """
 
     kn: np.ndarray         # |kappa|, (n, n, n)
@@ -292,7 +300,6 @@ class KappaSymbols:
     kih: np.ndarray
     s_diag: np.ndarray
     s_off: np.ndarray
-    j_exact: bool
 
 
 @lru_cache(maxsize=None)
@@ -305,10 +312,8 @@ def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
     diag = np.stack([k3, -k3], axis=-1).astype(np.complex128)
     off = np.stack([k1 - 1j * k2, k1 + 1j * k2], axis=-1)
     kih = np.repeat(np.sqrt(inv_k), 2, axis=-1).astype(np.complex128)
-    axis = np.fft.fftfreq(n, d=1.0 / n)
-    j_exact = all(np.array_equal(np.sort(axis + d), np.sort(-(axis + d))) for d in shift)
     return KappaSymbols(_freeze(kn), k_min, _freeze(diag), _freeze(off), _freeze(kih),
-                        _freeze(diag * inv_k), _freeze(off * inv_k), j_exact)
+                        _freeze(diag * inv_k), _freeze(off * inv_k))
 
 
 def apply_spinor_symbol(r_diag: np.ndarray, r_off: np.ndarray, hat: np.ndarray) -> np.ndarray:

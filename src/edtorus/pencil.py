@@ -68,8 +68,6 @@ class Pencil:
         self.weight = u.values ** exps.p1
         self.b_half = u.values ** (0.5 * exps.p1)
         self.dim = 2 * self.grid.num_points
-        #: J commutes with C (`KappaSymbols.j_exact`)
-        self.j_exact = kappa_symbols(self.grid.n, self.grid.length, spin.shift).j_exact
 
     def _c_raw(self, values: np.ndarray) -> np.ndarray:
         """C on values of shape (..., n, n, n, 2)."""
@@ -229,7 +227,7 @@ class ShiftedDiagonalPreconditioner:
     P+- = (1 +- sigma.kappa / |kappa|) / 2 the projectors on the two branches
     of the symbol (at kappa = 0 they coincide and R is a scalar).  The floor
     k_min, the smallest nonzero |kappa|, keeps R bounded on the modes with a
-    branch at sigma wbar and on the harmonic mode of shift (0, 0, 0).  For
+    branch at sigma wbar and on the harmonic modes of shift (0, 0, 0).  For
     constant u, M is exactly |C - sigma|^{-1} off the floored modes.  The
     folded window solver on (C - sigma)^2 applies M^2 at sigma = target.
     """
@@ -345,7 +343,7 @@ class SpectrumWindow:
 
 @dataclass
 class SimplicityReport:
-    kind: str  # quaternionic_simple | unpaired_simple | multiple | indeterminate
+    kind: str  # quaternionic_simple | multiple | indeterminate
     cluster_size: int
     cluster_width: float
     exterior_gap: float
@@ -356,20 +354,18 @@ def simplicity_gap(window: SpectrumWindow, lam: float,
                    gap_tol: float = DEFAULT_GAP_TOL) -> SimplicityReport:
     """Classify the cluster at lam: at m = 3 'simple' means complex dimension 2.
 
-    A one-member cluster is 'unpaired_simple' (no Kramers partner, which the
-    discrete pencil allows for the spin structures whose Nyquist modes break
-    DJ = JD); three or more members are 'multiple'.
+    Every eigenvalue is a Kramers pair, so a one-member cluster is half of a
+    pair cut by the window's edge and is 'indeterminate', like a small or
+    uncertified gap; three or more members are 'multiple'.
     """
     cluster = window.cluster_near(lam)
     if cluster.gap is None:
         raise WindowTooNarrow("window holds a single cluster; no exterior gap measurable")
     size = len(cluster.members)
-    if cluster.gap < gap_tol:
+    if cluster.gap < gap_tol or size == 1:
         kind = "indeterminate"
     elif size == 2:
         kind = "quaternionic_simple" if cluster.certified else "indeterminate"
-    elif size == 1:
-        kind = "unpaired_simple"
     else:
         kind = "multiple"
     return SimplicityReport(kind, size, cluster.width, cluster.gap, cluster.certified)
@@ -456,29 +452,9 @@ def _flat_guess(pencil: Pencil, sigma: float, count: int) -> np.ndarray:
     return pencil.pack(phase[..., None] * vec[:, None, None, None] * pencil.b_half[..., None])
 
 
-def _complement_basis(X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the part of span(S) orthogonal to span(X), X
-    orthonormal.  Two passes of projection and orthonormalization through the
-    eigendecomposition of the Gram matrix of the column-scaled block (SVQB);
-    columns the projection cancels to roundoff and directions below 1e-7 of
-    the largest singular value are dropped."""
-    for _ in range(2):
-        before = np.linalg.norm(S, axis=0)
-        S = S - X @ (X.conj().T @ S)
-        after = np.linalg.norm(S, axis=0)
-        keep = after > 1e-10 * before
-        if not keep.any():
-            return S[:, :0]
-        S = S[:, keep] / after[keep]
-        w, V = np.linalg.eigh(S.conj().T @ S)
-        big = w > 1e-14 * w[-1]
-        S = S @ (V[:, big] / np.sqrt(w[big]))
-    return S
-
-
 # -- Kramers half-blocks ------------------------------------------------------
-# Where J commutes with C, a block is held as its half Y: the J-closed span
-# of [Y, J Y], with [Y, J Y] orthonormal.  A hermitian operator A commuting
+# J commutes with C, so a block is held as its half Y: the J-closed span of
+# [Y, J Y], with [Y, J Y] orthonormal.  A hermitian operator A commuting
 # with J has, on that basis, the matrix [[G1, G2], [-conj G2, conj G1]] with
 # G1 = Y^H A Y and G2 = Y^H J (A Y), so A is applied to Y only.  Coefficient
 # vectors (a; b) stand for Y a + J Y b, on which J acts as (-conj b; conj a).
@@ -543,16 +519,16 @@ def _one_per_pair(w: np.ndarray, V: np.ndarray, count: int) -> np.ndarray:
     return kept
 
 
-def _kramers_complement(pencil: Pencil, X: np.ndarray, S: np.ndarray,
-                        count: int | None = None) -> np.ndarray:
-    """`_complement_basis` for half-blocks: a half-block Q whose J-closure
-    is the part of the J-closure of S orthogonal to that of X, [X, J X]
-    orthonormal.  Two passes of projection and quaternionic SVQB: the Gram
-    matrix of [S, J S] is quaternionic.  Where it is well conditioned and no
-    more than `count` columns are asked for, Q is the Lowdin half; otherwise
-    one eigenvector per pair is kept, at most `count` of them, largest
-    eigenvalues first, and directions below 1e-7 of the largest singular
-    value are dropped."""
+def _complement_basis(pencil: Pencil, X: np.ndarray, S: np.ndarray,
+                      count: int | None = None) -> np.ndarray:
+    """A half-block Q whose J-closure is the part of the J-closure of S
+    orthogonal to that of X, [X, J X] orthonormal.  Two passes of projection
+    and SVQB, the orthonormalization through the eigendecomposition of the
+    Gram matrix of the column-scaled block, here the quaternionic Gram
+    matrix of [S, J S].  Where it is well conditioned and no more than `count`
+    columns are asked for, Q is the Lowdin half; otherwise one eigenvector
+    per pair is kept, at most `count` of them, largest eigenvalues first, and
+    directions below 1e-7 of the largest singular value are dropped."""
     JX = pencil.j(X)
     for _ in range(2):
         before = np.linalg.norm(S, axis=0)
@@ -609,24 +585,22 @@ def solve_window(u: ScalarField, target: float, count: int,
     cannot tell the wanted eigenvalues near sigma from their neighbours.
     A is positive semidefinite at every sigma and its smallest eigenvalues
     are exactly the squared distances to sigma, so an eigenvalue at sigma is
-    a zero Ritz value and far clusters cannot alias into the window.  The
-    block holds count + 4 columns, started from plane waves plus seeded
-    noise; columns whose folded residual falls below the lock threshold keep
-    their place in the Rayleigh-Ritz basis but add no search directions
-    (soft locking).  The search directions [W, P] are orthonormalized against
-    X and each other and then multiplied by A afresh; A P is never carried
+    a zero Ritz value and far clusters cannot alias into the window.
+
+    J commutes with C, so every eigenvalue is a Kramers pair and A and M
+    commute with J: the block is the J-closure of ceil(count/2) + 2 half
+    columns, and A and M^2 are applied to the half only.  The start is the
+    half of the J-closure of the 2 (ceil(count/2) + 2) plane waves nearest
+    sigma plus seeded noise; the Rayleigh-Ritz of A on the J-closure of
+    [X, S] keeps one Ritz vector per pair (`_one_per_pair`).  Columns whose
+    folded residual falls below the lock threshold keep their place in the
+    Rayleigh-Ritz basis but add no search directions (soft locking).  The
+    search directions [W, P] are orthonormalized against the J-closure of X
+    and each other and then multiplied by A afresh; A P is never carried
     through that transform, whose conditioning degrades as the residuals
     shrink.  Signed eigenvalues come from a final Rayleigh-Ritz of C on the
-    first `count` columns, accepted only on directly verified residuals of C;
-    the window records the iterations.
-
-    Where J commutes with C (`Pencil.j_exact`, the default spin structure),
-    every eigenvalue is a Kramers pair and A and M commute with J, so the
-    block is the J-closure of ceil(count / 2) + 2 half columns
-    (`_kramers_window`): A and M^2 are applied to the half only, about half
-    the operator work in as many iterations.  The other spin structures keep
-    the plain block: there the J-closure of an eigenvector is not an
-    eigenspace.
+    J-closure of the first ceil(count/2) columns, accepted only on directly
+    verified residuals of C; the window records the iterations.
     """
     spin = spin or SpinStructure()
     exps = exps or ExponentTable(3)
@@ -647,58 +621,13 @@ def solve_window(u: ScalarField, target: float, count: int,
         Y = pencil.apply(Z) - sigma * Z
         return pencil.apply(Y) - sigma * Y
 
-    if pencil.j_exact:
-        return _kramers_window(pencil, sigma, count, rng, folded, prec, eff_tol, lock_tol,
-                               max_iter)
-
-    block = min(count + 4, pencil.dim)
-    X = 1e-3 * (rng.standard_normal((pencil.dim, block))
-                + 1j * rng.standard_normal((pencil.dim, block)))
-    X, _ = np.linalg.qr(X + _flat_guess(pencil, sigma, block))
-    AX = folded(X)
-    S = AS = np.zeros((pencil.dim, 0), dtype=np.complex128)
-    for it in range(1, max_iter + 1):
-        _STATS["lobpcg_iterations"] += 1
-        basis, a_basis = np.hstack([X, S]), np.hstack([AX, AS])
-        H = basis.conj().T @ a_basis
-        mu, V = np.linalg.eigh(0.5 * (H + H.conj().T))  # ascending squared distances
-        mu, V = mu[:block], V[:, :block]
-        X, AX, P = basis @ V, a_basis @ V, S @ V[block:]
-        R = AX - X * mu
-        resid = np.linalg.norm(R, axis=0)
-
-        if resid[:count].max() <= 50.0 * eff_tol:
-            Y = X[:, :count]
-            window = _accepted_window(pencil, Y, pencil.apply(Y), count, sigma, eff_tol, it)
-            if window is not None:
-                return window
-
-        active = resid > lock_tol
-        if not active.any():
-            break
-        W = prec(prec(R[:, active]))
-        S = _complement_basis(X, np.hstack([W, P[:, active]]))
-        AS = folded(S)
-
-    raise ConvergenceFailure("window iteration did not converge",
-                             iterations=it, residual=float(resid[:count].max()))
-
-
-def _kramers_window(pencil: Pencil, sigma: float, count: int, rng, folded, prec,
-                    eff_tol: float, lock_tol: float, max_iter: int) -> SpectrumWindow:
-    """`solve_window`'s LOBPCG on half-blocks, for a pencil whose C commutes
-    with J.  The start is the half of the J-closure of the 2 (ceil(count/2)
-    + 2) plane waves nearest sigma plus seeded noise; the Rayleigh-Ritz of A
-    on the J-closure of [X, S] keeps one Ritz vector per pair
-    (`_one_per_pair`), and its signed Rayleigh-Ritz of C runs on the
-    J-closure of the first ceil(count/2) columns."""
     wanted = (count + 1) // 2
     block = min(wanted + 2, pencil.dim // 2)
     noise = 1e-3 * (rng.standard_normal((pencil.dim, block))
                     + 1j * rng.standard_normal((pencil.dim, block)))
     start = _flat_guess(pencil, sigma, 2 * block)
     start[:, :block] += noise
-    X = _kramers_complement(pencil, start[:, :0], start, count=block)
+    X = _complement_basis(pencil, start[:, :0], start, count=block)
     AX = folded(X)
     S = AS = X[:, :0]
     for it in range(1, max_iter + 1):
@@ -729,7 +658,7 @@ def _kramers_window(pencil: Pencil, sigma: float, count: int, rng, folded, prec,
         if not active.any():
             break
         W = prec(prec(R[:, active]))
-        S = _kramers_complement(pencil, X, np.hstack([W, P[:, active]]))
+        S = _complement_basis(pencil, X, np.hstack([W, P[:, active]]))
         AS = folded(S)
 
     raise ConvergenceFailure("window iteration did not converge",
@@ -767,9 +696,8 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, c_chi: np.ndarray,
     With F the unitary grid FFT and V = deflate.basis, S = K^{-1/2} (sigma.kappa)
     K^{-1/2} is pointwise in Fourier space, G = K^{-1/2} F B F^{-1} K^{-1/2} is
     one FFT pair, U = [L^H V, L^H (C - lam) V] and T = [[-H, I], [I, 0]] with
-    H = V^H (C - lam) V.  The caller passes c_chi = C chi for chi = V[:, 0];
-    C (J chi) = J (C chi) where J commutes with C (`Pencil.j_exact`), so the
-    set-up applies C to no column there and to J chi elsewhere.  K^{-1/2} and
+    H = V^H (C - lam) V.  The caller passes c_chi = C chi for chi = V[:, 0],
+    and C (J chi) = J (C chi), so the set-up applies C to no column.  K^{-1/2} and
     S come from the cached `kappa_symbols` and -lam B is folded into one
     array per solve, so an iteration is one FFT pair, four pointwise products
     and the rank-4 term.  MINRES stops on the
@@ -792,8 +720,7 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, c_chi: np.ndarray,
         return pencil.pack(kih * grid_fft(pencil.unpack(x) * b_drop, axes=SPINOR_GRID_AXES))
 
     V = deflate.basis
-    c_jchi = pencil.j(c_chi) if pencil.j_exact else pencil.apply(V[:, 1])
-    CV = np.column_stack([c_chi, c_jchi]) - lam * V
+    CV = np.column_stack([c_chi, pencil.j(c_chi)]) - lam * V
     H = V.conj().T @ CV
     T = np.block([[-0.5 * (H + H.conj().T), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
     U = drop(np.column_stack([V, CV, b]))  # one batched FFT for U and L^H b
@@ -845,9 +772,7 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
     The pair is returned in the gauge of its start chi_0: V (V^H chi_0)
     normalized, V the `kramers_deflation` basis at the refined chi, which is
     the u-weighted projection of the start onto span{psi, J psi}, the unit
-    quaternionic multiple nearest it.  That span is the eigenspace only where
-    J commutes with C (the default spin structure); elsewhere the result is
-    the same projection, a mixture of the refined chi and J chi.
+    quaternionic multiple nearest it.
     """
     _STATS["refine_pair_calls"] += 1
     pencil = Pencil(u, pair.psi.spin, exps)

@@ -209,8 +209,8 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("shift", ["0.5,0.5,0.5", "0,0,0"])
     def test_clusters_agree_with_simplicity_gap(self, tmp_path, exps, shift):
-        # the clusters of spectrum.json and simplicity_gap read one rule; the
-        # trivial shift has one-member clusters as well as pairs
+        # the clusters of spectrum.json and simplicity_gap read one rule, at
+        # the default shift and at the trivial one
         from edtorus.fields import SpinStructure, TorusGrid, field_from_function
         from edtorus.pencil import simplicity_gap, solve_window
 

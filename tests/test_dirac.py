@@ -123,14 +123,15 @@ class TestQuaternionicStructure:
             assert np.sqrt((np.abs(dj.values - jd.values) ** 2).sum()) / norm <= 1e-12
 
     def test_commutes_on_trivial_shift_too(self, grid8, rng):
-        # on trivial-shift axes the unpaired Nyquist mode maps to itself under
-        # conjugation, so commutation is a below-Nyquist contract there
+        # on trivial-shift axes the Nyquist mode -n/2 is its own J-image,
+        # and its zero momentum keeps DJ = JD there too
         sp = SpinStructure((0, 0.5, 0))
         x1, x2, x3 = grid8.coords()
         vals = np.zeros(grid8.shape + (2,), dtype=complex)
         rngc = np.random.default_rng(5)
-        for _ in range(6):
-            k = rngc.integers(-3, 4, size=3)
+        modes = [(-4, -4, -4), (-4, 1, 0), (2, 0, -4)]
+        modes += [tuple(rngc.integers(-4, 4, size=3)) for _ in range(6)]
+        for k in modes:
             amp = rngc.standard_normal(2) + 1j * rngc.standard_normal(2)
             vals += np.exp(1j * (k[0] * x1 + k[1] * x2 + k[2] * x3))[..., None] * amp
         psi = SpinorField(grid8, sp, vals)

@@ -8,6 +8,7 @@ from edtorus.dirac import quaternionic_j
 from edtorus.errors import ConvergenceFailure, NoSimpleEigenvalue, SmallGap
 from edtorus.fields import (
     SpinorField,
+    SpinStructure,
     TorusGrid,
     constant_field,
     field_from_function,
@@ -272,6 +273,16 @@ class TestRun:
         assert traj.column("constraint_residual").max() <= 1e-9
         ts = traj.column("t")
         assert np.all(np.diff(ts) > 0)
+
+    @pytest.mark.parametrize("shift", [(a, b, c) for a in (0.0, 0.5) for b in (0.0, 0.5)
+                                       for c in (0.0, 0.5)])
+    def test_runs_at_every_spin_structure(self, exps, shift):
+        # J commutes with the pencil at every spin structure, so the cluster
+        # nearest the target is a Kramers pair the flow can track
+        cfg = FlowConfig(horizon=0.003)
+        traj = run(generic_u(TorusGrid(6)), 0.87, cfg, exps, SpinStructure(shift))
+        assert traj.abort_reason is None
+        assert traj.final_state.t >= cfg.horizon - 1e-14
 
     def test_near_constant_linearized_decay(self, exps):
         # initial data 1 + eps*(modes): the cos(x1) amplitude decays like

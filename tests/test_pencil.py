@@ -63,6 +63,16 @@ class TestDenseOracle:
         expect = flat_list(grid, spin, (-100, 100))
         assert np.abs(dense.eigenvalues - expect).max() < 1e-12
 
+    def test_trivial_shift_nyquist_kernel(self, exps):
+        # the eight Nyquist-corner modes have zero momentum on the grid, so
+        # its flat kernel at shift (0, 0, 0) is 16-dimensional; the
+        # continuum's (flat_spectrum_oracle) is 2
+        grid = TorusGrid(4)
+        trivial = SpinStructure((0.0, 0.0, 0.0))
+        dense = dense_oracle(constant_field(grid, 1.0), trivial, exps)
+        assert np.sum(np.abs(dense.eigenvalues) < 1e-12) == 16
+        assert flat_spectrum_oracle(grid, trivial, (-0.5, 0.5)) == [(0.0, 2)]
+
     def test_constant_scaling(self, spin, exps):
         grid = TorusGrid(4)
         base = dense_oracle(constant_field(grid, 1.0), spin, exps)
@@ -171,19 +181,19 @@ class TestKappaSymbols:
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("shift", SHIFTS)
     def test_j_exact_where_d_commutes_with_j(self, exps, rng, n, shift):
-        # the predicate against |DJv - JDv| <= 1e-13 |v| on random spinors;
-        # on even grids J is exact only at shift (1/2, 1/2, 1/2)
+        # |DJv - JDv| <= 1e-13 |v| on random spinors at every spin structure
+        # (the Nyquist momentum of an unshifted axis is zero), so the dense
+        # spectrum of the generic datum comes in Kramers pairs
         grid = TorusGrid(n)
         spin = SpinStructure(shift)
-        sym = kappa_symbols(n, grid.length, shift)
         for _ in range(3):
             v = SpinorField(grid, spin, rng.standard_normal(grid.shape + (2,))
                             + 1j * rng.standard_normal(grid.shape + (2,)))
             defect = np.linalg.norm(apply_dirac(quaternionic_j(v)).values
                                     - quaternionic_j(apply_dirac(v)).values)
-            assert (defect <= 1e-13 * np.linalg.norm(v.values)) == sym.j_exact
-        assert sym.j_exact == (shift == (0.5, 0.5, 0.5))
-        assert Pencil(constant_field(grid, 1.0), spin, exps).j_exact == sym.j_exact
+            assert defect <= 1e-13 * np.linalg.norm(v.values)
+        lams = dense_oracle(generic_u(grid), spin, exps).eigenvalues
+        assert np.abs(lams[0::2] - lams[1::2]).max() <= 1e-12
 
     @pytest.mark.parametrize("shift", SHIFTS)
     def test_kernel_applies_pauli_sigma_kappa(self, grid6, rng, shift):
@@ -430,14 +440,24 @@ class TestSimplicity:
         assert rep.exterior_gap > 5e-3
         assert rep.gap_certified
 
-    def test_one_member_cluster_unpaired(self, grid6, exps):
-        # shift (0, 0, 0) breaks DJ = JD at the Nyquist modes, so the
-        # eigenvalue nearest 0.87 has no Kramers partner
+    def test_trivial_shift_cluster_is_a_pair(self, grid6, exps):
+        # J commutes with D at shift (0, 0, 0) as well, so the eigenvalue
+        # nearest 0.87 has its Kramers partner
         u = generic_u(grid6)
         win = dense_oracle(u, SpinStructure((0.0, 0.0, 0.0)), exps).window(0.87, 12)
         rep = simplicity_gap(win, 0.87)
-        assert rep.cluster_size == 1
-        assert rep.kind == "unpaired_simple"
+        assert rep.cluster_size == 2
+        assert rep.kind == "quaternionic_simple"
+
+    def test_one_member_cluster_indeterminate(self, grid6, spin, exps):
+        # a window of odd count cuts its farthest pair in half: that
+        # one-member cluster is indeterminate, not simple
+        win = dense_oracle(generic_u(grid6), spin, exps).window(0.87, 3)
+        assert [len(c.members) for c in win.clusters()] in ([1, 2], [2, 1])
+        lone = next(c for c in win.clusters() if len(c.members) == 1)
+        rep = simplicity_gap(win, lone.mean)
+        assert rep.cluster_size == 1 and rep.exterior_gap > 1e-3
+        assert rep.kind == "indeterminate"
 
 
     @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.5, 0.5)])

@@ -50,21 +50,6 @@ def draw(n, spin, seed):
     return grid, u, spinor
 
 
-def below_nyquist(psi):
-    """psi without its Nyquist modes along the axes the spin structure does not
-    shift: there the mode set {-n/2, ..., n/2 - 1} is not symmetric, so J
-    (which sends mode k + delta to -(k + delta)) maps it to itself only
-    without them."""
-    hat = grid_fft(psi.values, axes=SPINOR_GRID_AXES)
-    half = psi.grid.n // 2
-    for axis, shift in enumerate(psi.spin.shift):
-        if shift == 0.0:
-            index = [slice(None)] * 4
-            index[axis] = half
-            hat[tuple(index)] = 0.0
-    return SpinorField(psi.grid, psi.spin, grid_ifft(hat, axes=SPINOR_GRID_AXES))
-
-
 def hermitian_defect(op, x, y):
     """|<x, op y> - <op x, y>| relative to |x| |op y| + |op x| |y|."""
     ox, oy = op(x), op(y)
@@ -92,7 +77,6 @@ def test_quaternionic_structure(case):
     psi = spinor()
     jj = quaternionic_j(quaternionic_j(psi)).values
     assert np.abs(jj + psi.values).max() <= 1e-14 * np.abs(psi.values).max()
-    psi = below_nyquist(psi)
     dj = apply_dirac(quaternionic_j(psi)).values
     jd = quaternionic_j(apply_dirac(psi)).values
     assert np.abs(dj - jd).max() <= 1e-12 * np.abs(jd).max()
