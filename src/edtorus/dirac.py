@@ -55,7 +55,7 @@ class CliffordFrame:
 
 
 def dirac_values(grid: TorusGrid, spin: SpinStructure, values: np.ndarray) -> np.ndarray:
-    """Raw-array form of the Dirac action, sigma.kappa of `kappa_symbols` in
+    """Raw-array form of the Dirac action, the symbol of `kappa_symbols` in
     Fourier space, on values of shape (..., n, n, n, 2) (no field wrapping)."""
     sym = kappa_symbols(grid.n, grid.length, spin.shift)
     hat = grid_fft(values, axes=SPINOR_GRID_AXES)
@@ -75,11 +75,11 @@ def flat_spectrum_oracle(grid: TorusGrid, spin: SpinStructure, window):
     Each nonzero mode contributes one +|kappa| and one -|kappa| eigenvector;
     a zero mode (trivial shift only) contributes the 2-dimensional kernel.
 
-    This is the continuum formula, independent of `fields.spinor_momentum`.
-    The grid operator follows it except on the Nyquist planes of unshifted
-    axes, where the grid's momentum component is zero (the spectral rule
-    for odd derivatives, which keeps DJ = JD): there the two differ, and at
-    shift (0, 0, 0) the grid kernel has complex dimension 16, not 2.
+    This is the continuum formula over the grid's modes, independent of
+    `fields.kappa_symbols`.  The grid's symbol follows it on every mode
+    except those with k = -n/2 on an unshifted axis, where it is |kappa| I
+    (see `KappaSymbols`): the two agree on windows inside |lambda| < pi n / L
+    (the Nyquist momentum), multiplicities included, at every spin structure.
     """
     lo, hi = window
     k1, k2, k3 = _integer_modes(grid.n)

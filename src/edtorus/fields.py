@@ -228,23 +228,12 @@ def _integer_modes(n: int):
 
 @lru_cache(maxsize=None)
 def spinor_momentum(n: int, length: float, shift: tuple):
-    """Shifted angular wavevector components (2*pi/L)*(k + delta) for spinors.
-
-    On an axis with shift 0 the component of the unpaired Nyquist mode
-    k = -n/2 is zero, the spectral rule for odd derivatives that
-    `scalar_symbols` applies to the gradient: that mode is its own image
-    under kappa -> -kappa, so any other value breaks the symmetry of the
-    momentum set and with it DJ = JD.  With the rule every axis's momenta
-    are symmetric and J commutes with sigma.kappa at every spin structure.
-    The grid operator then departs from the continuum on the Nyquist planes
-    of unshifted axes; at shift (0, 0, 0) the eight Nyquist-corner momenta
-    are zero and the kernel of D has complex dimension 16, not 2.
-    """
+    """Shifted angular wavevector components (2*pi/L)*(k + delta) for spinors:
+    the continuum momenta of the grid's modes.  `kappa_symbols` forms the
+    Dirac symbol from them, sigma.kappa on every mode except the Nyquist
+    planes of unshifted axes."""
     scale = TWO_PI / length
-    return tuple(
-        _freeze(scale * np.where((k == -(n // 2)) & (d == 0.0), 0.0, k + d))
-        for k, d in zip(_integer_modes(n), shift)
-    )
+    return tuple(_freeze(scale * (k + d)) for k, d in zip(_integer_modes(n), shift))
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +268,28 @@ def scalar_symbols(n: int, length: float) -> ScalarSymbols:
 
 @dataclass(frozen=True)
 class KappaSymbols:
-    """The Dirac symbol sigma.kappa of one grid and spin structure and the
-    symbols derived from it, read-only.
+    """The Dirac symbol of one grid and spin structure and the symbols derived
+    from it, read-only.
 
     A pointwise 2x2 multiplier R is a pair (r_diag, r_off) of complex arrays
     of spinor shape (n, n, n, 2), (R z)_c = r_diag_c z_c + r_off_c z_{1-c}
-    (`apply_spinor_symbol`).  sigma.kappa is (diag, off) = ((k3, -k3),
-    (k1 - i k2, k1 + i k2)), built here only.  With K = max(|kappa|, k_min),
-    k_min the smallest nonzero |kappa|, `pencil.deflated_solve` splits its
-    operator with kih = K^{-1/2} and S = K^{-1} (sigma.kappa) = (s_diag, s_off).
-    The momenta of `spinor_momentum` are symmetric under kappa -> -kappa at
-    every spin structure, so J commutes with sigma.kappa, with D, with C and
-    with every real function of the symbol.
+    (`apply_spinor_symbol`).  The symbol (diag, off), built here only, is
+    sigma.kappa = ((k3, -k3), (k1 - i k2, k1 + i k2)) except on the `nyquist`
+    modes, k = -n/2 on an axis of shift 0.  J sends the mode of kappa to that
+    of -kappa, and such a mode to itself, so sigma.kappa there breaks DJ = JD,
+    and zeroing its Nyquist component would double the low spectrum.  There
+    the symbol is |kappa| I: it commutes with J, and its eigenvalue |kappa|
+    >= pi n / L keeps these modes above the Nyquist momentum.  So J commutes
+    with D and C at every spin structure, and inside |lambda| < pi n / L the
+    flat spectrum is the continuum's (`dirac.flat_spectrum_oracle`).  With
+    K = max(|kappa|, k_min), k_min the smallest nonzero |kappa|,
+    `pencil.deflated_solve` splits its operator with kih = K^{-1/2} and
+    S = K^{-1} (symbol) = (s_diag, s_off).
     """
 
     kn: np.ndarray         # |kappa|, (n, n, n)
     k_min: float
+    nyquist: np.ndarray    # bool, (n, n, n)
     diag: np.ndarray
     off: np.ndarray
     kih: np.ndarray
@@ -308,12 +303,15 @@ def kappa_symbols(n: int, length: float, shift: tuple) -> KappaSymbols:
     k1, k2, k3 = spinor_momentum(n, length, shift)
     kn = np.sqrt(k1 ** 2 + k2 ** 2 + k3 ** 2)
     k_min = float(kn[kn > 0].min())
+    nyquist = np.any([(k == -(n // 2)) & (d == 0.0)
+                      for k, d in zip(_integer_modes(n), shift)], axis=0)
     inv_k = 1.0 / np.maximum(kn, k_min)[..., None]
-    diag = np.stack([k3, -k3], axis=-1).astype(np.complex128)
-    off = np.stack([k1 - 1j * k2, k1 + 1j * k2], axis=-1)
+    diag = np.stack([np.where(nyquist, kn, k3), np.where(nyquist, kn, -k3)], axis=-1)
+    diag = diag.astype(np.complex128)
+    off = np.where(nyquist[..., None], 0.0, np.stack([k1 - 1j * k2, k1 + 1j * k2], axis=-1))
     kih = np.repeat(np.sqrt(inv_k), 2, axis=-1).astype(np.complex128)
-    return KappaSymbols(_freeze(kn), k_min, _freeze(diag), _freeze(off), _freeze(kih),
-                        _freeze(diag * inv_k), _freeze(off * inv_k))
+    return KappaSymbols(_freeze(kn), k_min, _freeze(nyquist), _freeze(diag), _freeze(off),
+                        _freeze(kih), _freeze(diag * inv_k), _freeze(off * inv_k))
 
 
 def apply_spinor_symbol(r_diag: np.ndarray, r_off: np.ndarray, hat: np.ndarray) -> np.ndarray:

@@ -224,12 +224,14 @@ class ShiftedDiagonalPreconditioner:
         R = P+ / max(| |kappa| - sigma wbar|, k_min)
           + P- / max(|-|kappa| - sigma wbar|, k_min),
 
-    P+- = (1 +- sigma.kappa / |kappa|) / 2 the projectors on the two branches
-    of the symbol (at kappa = 0 they coincide and R is a scalar).  The floor
-    k_min, the smallest nonzero |kappa|, keeps R bounded on the modes with a
-    branch at sigma wbar and on the harmonic modes of shift (0, 0, 0).  For
-    constant u, M is exactly |C - sigma|^{-1} off the floored modes.  The
-    folded window solver on (C - sigma)^2 applies M^2 at sigma = target.
+    P+- = (1 +- symbol / |kappa|) / 2 the projectors on the two branches
+    of the symbol (at kappa = 0 they coincide and R is a scalar; P- = 0 on
+    the `nyquist` modes of `KappaSymbols`, where the symbol is |kappa| I).
+    The floor k_min, the smallest nonzero |kappa|, keeps R bounded on the
+    modes with a branch at sigma wbar and on the harmonic mode of shift
+    (0, 0, 0).  For constant u, M is exactly |C - sigma|^{-1} off the
+    floored modes.  The folded window solver on (C - sigma)^2 applies M^2 at
+    sigma = target.
     """
 
     def __init__(self, pencil: Pencil, sigma: float = 0.0):
@@ -239,7 +241,7 @@ class ShiftedDiagonalPreconditioner:
         shift = sigma * float(np.mean(pencil.weight))
         r_plus = 1.0 / np.maximum(np.abs(kn - shift), k_min)
         r_minus = 1.0 / np.maximum(np.abs(kn + shift), k_min)
-        # R = c + s sigma.kappa; r_plus = r_minus, so s = 0, wherever kappa = 0
+        # R = c + s symbol; r_plus = r_minus, so s = 0, wherever kappa = 0
         c = 0.5 * (r_plus + r_minus)[..., None]
         s = (0.5 * (r_plus - r_minus) / np.maximum(kn, k_min))[..., None]
         self.symbol = (c + s * sym.diag, s * sym.off)
@@ -433,12 +435,14 @@ def _fix_gauge(x: np.ndarray) -> np.ndarray:
 def _flat_guess(pencil: Pencil, sigma: float, count: int) -> np.ndarray:
     """Plane-wave symbol eigenvectors nearest sigma (after mean-weight scaling):
     a cheap analytic warm start for cold window solves.  Each mode's
-    eigenvectors are those of its 2x2 block of K^{-1} (sigma.kappa); the
-    kappa = 0 mode takes (1, 0) on both branches."""
+    eigenvectors are those of its 2x2 block of K^{-1} (symbol), on the
+    branches +-|kappa| (+|kappa| twice on the `nyquist` modes); the kappa = 0
+    mode takes (1, 0) on both branches."""
     grid = pencil.grid
     wbar = float(np.mean(pencil.weight))
     sym = kappa_symbols(grid.n, grid.length, pencil.spin.shift)
-    flat = np.concatenate([(sym.kn / wbar).ravel(), (-sym.kn / wbar).ravel()])
+    lower = np.where(sym.nyquist, sym.kn, -sym.kn)
+    flat = np.concatenate([(sym.kn / wbar).ravel(), (lower / wbar).ravel()])
     order = np.argsort(np.abs(flat - sigma), kind="stable")[:count]
     j = order % grid.num_points
     s_diag, s_off = sym.s_diag.reshape(-1, 2)[j], sym.s_off.reshape(-1, 2)[j]
@@ -693,9 +697,9 @@ def deflated_solve(pencil: Pencil, deflate: KramersDeflation, c_chi: np.ndarray,
         A z = L^H b,   A = L^H Q (C - lam) Q L = S - lam G - U T U^H,
 
     has, in exact arithmetic, the iterates y = L z of M-preconditioned MINRES.
-    With F the unitary grid FFT and V = deflate.basis, S = K^{-1/2} (sigma.kappa)
-    K^{-1/2} is pointwise in Fourier space, G = K^{-1/2} F B F^{-1} K^{-1/2} is
-    one FFT pair, U = [L^H V, L^H (C - lam) V] and T = [[-H, I], [I, 0]] with
+    With F the unitary grid FFT and V = deflate.basis, S = K^{-1/2} (symbol)
+    K^{-1/2} is pointwise in Fourier space, G = K^{-1/2} F B F^{-1} K^{-1/2}
+    is one FFT pair, U = [L^H V, L^H (C - lam) V] and T = [[-H, I], [I, 0]] with
     H = V^H (C - lam) V.  The caller passes c_chi = C chi for chi = V[:, 0],
     and C (J chi) = J (C chi), so the set-up applies C to no column.  K^{-1/2} and
     S come from the cached `kappa_symbols` and -lam B is folded into one

@@ -124,7 +124,7 @@ class TestQuaternionicStructure:
 
     def test_commutes_on_trivial_shift_too(self, grid8, rng):
         # on trivial-shift axes the Nyquist mode -n/2 is its own J-image,
-        # and its zero momentum keeps DJ = JD there too
+        # and its symbol |kappa| I keeps DJ = JD there too
         sp = SpinStructure((0, 0.5, 0))
         x1, x2, x3 = grid8.coords()
         vals = np.zeros(grid8.shape + (2,), dtype=complex)

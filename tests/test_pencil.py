@@ -51,6 +51,27 @@ def generic_u(grid):
         grid, lambda x, y, z: 1 + 0.3 * np.cos(x) + 0.2 * np.cos(y + z))
 
 
+def nyquist_modes(grid, shift):
+    """The modes with k = -n/2 on an axis whose shift is 0."""
+    modes = np.meshgrid(*[np.fft.fftfreq(grid.n, 1 / grid.n)] * 3, indexing="ij")
+    nyquist = np.zeros(grid.shape, dtype=bool)
+    for m, d in zip(modes, shift):
+        if d == 0.0:
+            nyquist |= m == -grid.n // 2
+    return nyquist
+
+
+def expected_symbol(grid, shift):
+    """Per-mode 2x2 Dirac symbols, shape (n, n, n, 2, 2): sigma.kappa, and
+    |kappa| I on the `nyquist_modes`."""
+    kappa = spinor_momentum(grid.n, grid.length, shift)
+    symbol = sum(k[..., None, None] * s for k, s in zip(kappa, (SIGMA1, SIGMA2, SIGMA3)))
+    kn = np.sqrt(sum(k ** 2 for k in kappa))
+    nyquist = nyquist_modes(grid, shift)
+    symbol[nyquist] = kn[nyquist, None, None] * np.eye(2)
+    return symbol
+
+
 def flat_list(grid, spin, window):
     return np.sort(np.concatenate(
         [[lam] * mult for lam, mult in flat_spectrum_oracle(grid, spin, window)]))
@@ -63,15 +84,17 @@ class TestDenseOracle:
         expect = flat_list(grid, spin, (-100, 100))
         assert np.abs(dense.eigenvalues - expect).max() < 1e-12
 
-    def test_trivial_shift_nyquist_kernel(self, exps):
-        # the eight Nyquist-corner modes have zero momentum on the grid, so
-        # its flat kernel at shift (0, 0, 0) is 16-dimensional; the
-        # continuum's (flat_spectrum_oracle) is 2
-        grid = TorusGrid(4)
-        trivial = SpinStructure((0.0, 0.0, 0.0))
-        dense = dense_oracle(constant_field(grid, 1.0), trivial, exps)
-        assert np.sum(np.abs(dense.eigenvalues) < 1e-12) == 16
-        assert flat_spectrum_oracle(grid, trivial, (-0.5, 0.5)) == [(0.0, 2)]
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_flat_matches_continuum_below_nyquist(self, grid6, exps, shift):
+        # every eigenvalue of the flat N=6 pencil inside the Nyquist
+        # momentum |lambda| < 3 is the continuum's, multiplicities included:
+        # the Nyquist planes of unshifted axes add no doublers there, and the
+        # kernel at shift (0, 0, 0) is the continuum's 2
+        dense = dense_oracle(constant_field(grid6, 1.0), SpinStructure(shift), exps)
+        lams = dense.eigenvalues[np.abs(dense.eigenvalues) < 2.9]
+        expect = flat_list(grid6, SpinStructure(shift), (-2.9, 2.9))
+        assert lams.shape == expect.shape
+        assert np.abs(lams - expect).max() < 1e-12
 
     def test_constant_scaling(self, spin, exps):
         grid = TorusGrid(4)
@@ -182,8 +205,8 @@ class TestKappaSymbols:
     @pytest.mark.parametrize("shift", SHIFTS)
     def test_j_exact_where_d_commutes_with_j(self, exps, rng, n, shift):
         # |DJv - JDv| <= 1e-13 |v| on random spinors at every spin structure
-        # (the Nyquist momentum of an unshifted axis is zero), so the dense
-        # spectrum of the generic datum comes in Kramers pairs
+        # (the symbol is |kappa| I on the Nyquist planes of unshifted axes),
+        # so the dense spectrum of the generic datum comes in Kramers pairs
         grid = TorusGrid(n)
         spin = SpinStructure(shift)
         for _ in range(3):
@@ -199,9 +222,7 @@ class TestKappaSymbols:
     def test_kernel_applies_pauli_sigma_kappa(self, grid6, rng, shift):
         sym = kappa_symbols(grid6.n, grid6.length, shift)
         z = rng.standard_normal(grid6.shape + (2,)) + 1j * rng.standard_normal(grid6.shape + (2,))
-        kappa = spinor_momentum(grid6.n, grid6.length, shift)
-        sigma_kappa = sum(k[..., None, None] * s for k, s in zip(kappa, (SIGMA1, SIGMA2, SIGMA3)))
-        expect = np.einsum("...ij,...j->...i", sigma_kappa, z)
+        expect = np.einsum("...ij,...j->...i", expected_symbol(grid6, shift), z)
         got = apply_spinor_symbol(sym.diag, sym.off, z)
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -256,26 +277,26 @@ class TestFlatGuess:
     def test_equals_per_mode_loop(self, grid6, exps, shift):
         # reference: each mode's symbol eigenvector by its own eigh, one
         # plane wave at a time; sigma = 0 reaches the kappa = 0 mode of the
-        # trivial shift on both branches
+        # trivial shift on both branches, and sigma = 3 the Nyquist modes of
+        # unshifted axes, whose two branches are both +|kappa|
         pencil = Pencil(generic_u(grid6), SpinStructure(shift), exps)
-        kappa = spinor_momentum(grid6.n, grid6.length, shift)
+        symbols = expected_symbol(grid6, shift).reshape(-1, 2, 2)
         kn = kappa_symbols(grid6.n, grid6.length, shift).kn
+        lower = np.where(nyquist_modes(grid6, shift), kn, -kn)
         wbar = float(np.mean(pencil.weight))
         x1, x2, x3 = grid6.coords()
         modes = [m.ravel() for m in np.meshgrid(*[np.fft.fftfreq(6, 1 / 6)] * 3, indexing="ij")]
         npts = grid6.num_points
-        for sigma, count in ((0.0, 10), (0.87, 16), (-1.5, 24)):
-            flat = np.concatenate([(kn / wbar).ravel(), (-kn / wbar).ravel()])
+        for sigma, count in ((0.0, 10), (0.87, 16), (-1.5, 24), (3.0, 40)):
+            flat = np.concatenate([(kn / wbar).ravel(), (lower / wbar).ravel()])
             order = np.argsort(np.abs(flat - sigma), kind="stable")[:count]
             expect = np.empty((pencil.dim, count), dtype=np.complex128)
             for c, idx in enumerate(order):
                 j = idx % npts
-                k1, k2, k3 = (k.ravel()[j] for k in kappa)
                 if kn.ravel()[j] == 0:
                     vec = np.array([1.0, 0.0])
                 else:
-                    sym = np.array([[k3, k1 - 1j * k2], [k1 + 1j * k2, -k3]]) / kn.ravel()[j]
-                    vec = np.linalg.eigh(sym)[1][:, 1 if idx < npts else 0]
+                    vec = np.linalg.eigh(symbols[j] / kn.ravel()[j])[1][:, 1 if idx < npts else 0]
                 phase = np.exp(1j * (modes[0][j] * x1 + modes[1][j] * x2 + modes[2][j] * x3))
                 expect[:, c] = (phase[..., None] * vec * pencil.b_half[..., None]).reshape(-1)
             got = _flat_guess(pencil, sigma, count)
