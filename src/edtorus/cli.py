@@ -29,6 +29,7 @@ from .errors import (
     NonPositiveConformalFactor,
     ParseError,
     PositivityLoss,
+    StepTooLarge,
     ValidationError,
 )
 from .fields import (
@@ -353,7 +354,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         traj = flow_run(u0, cfg.get_float("eigen.target"), fc, exps, spin,
                         snapshot_hook=hook if stride else None)
     except (NoSimpleEigenvalue, PositivityLoss, NonPositiveConformalFactor,
-            ConvergenceFailure) as exc:
+            StepTooLarge, ConvergenceFailure) as exc:
         failed = isinstance(exc, ConvergenceFailure)
         write_json(out / "summary.json", {
             "config": cfg.values,

@@ -27,10 +27,6 @@ class GridTooLarge(EdtorusError):
     """Dense-path operation requested on a grid above its size budget."""
 
 
-class WindowTooNarrow(EdtorusError):
-    """A spectral window does not contain enough neighbors to classify a cluster."""
-
-
 class ZeroEigenvalue(EdtorusError):
     """Operation undefined at eigenvalue zero."""
 

@@ -34,7 +34,6 @@ from .errors import (
     PositivityLoss,
     SmallGap,
     StepTooLarge,
-    WindowTooNarrow,
 )
 from .fields import (
     ExponentTable,
@@ -57,14 +56,15 @@ from .parabolic import (
     zero_operator,
 )
 from .pencil import (
+    DEFAULT_GAP_TOL,
     EigenPair,
+    gap_floor,
     refine_pair,
     simplicity_gap,
     solve_window,
     spectrum_near,
 )
 from .perturb import (
-    default_gap_tol,
     projected_resolvent,
     renormalize,
     tracked_pair,
@@ -189,7 +189,7 @@ class FlowConfig:
     cfl: float = 0.2                    # precondition coefficient (h^2 form)
     stability_factor: float = 0.05      # adaptive coefficient, below RK4 limit
     projection_period: int = 50         # steps between window gap re-measurements
-    gap_tol: float = 1e-3               # relative: gap >= gap_tol * (1 + |lam|)
+    gap_tol: float = DEFAULT_GAP_TOL    # relative: gap >= gap_tol * (1 + |lam|)
     scheme: str = "rk4_explicit"        # rk4_explicit | imex
     eigen_count: int = 12
     resolvent_tol: float = 1e-10        # stage eigenpair tolerance
@@ -210,6 +210,14 @@ def cfl_bound(u: ScalarField, exps: ExponentTable, cfl: float) -> float:
 def _check_positivity(u: ScalarField) -> None:
     if u.min() < POSITIVITY_FLOOR:
         raise PositivityLoss(f"min u = {u.min():.3e} below floor {POSITIVITY_FLOOR:.1e}")
+
+
+def _check_step(u: ScalarField, dt: float, exps: ExponentTable, config: FlowConfig) -> None:
+    """Raise StepTooLarge when an explicit step dt at u breaks the CFL precondition."""
+    if config.scheme == "rk4_explicit":
+        bound = cfl_bound(u, exps, config.cfl)
+        if dt > bound * (1.0 + 1e-12):
+            raise StepTooLarge(f"dt = {dt:.3e} violates the CFL precondition {bound:.3e}")
 
 
 def rk4_step(rate, t: float, dt: float, y: np.ndarray) -> np.ndarray:
@@ -277,10 +285,8 @@ def _imex_step(state: FlowState, dt: float, exps: ExponentTable,
 def step(state: FlowState, dt: float, exps: ExponentTable,
          config: FlowConfig) -> FlowState:
     """Advance one time step (no gap re-measurement; `run` owns that cadence)."""
+    _check_step(state.u, dt, exps, config)
     if config.scheme == "rk4_explicit":
-        bound = cfl_bound(state.u, exps, config.cfl)
-        if dt > bound * (1.0 + 1e-12):
-            raise StepTooLarge(f"dt = {dt:.3e} violates the CFL precondition {bound:.3e}")
         return _rk4_step(state, dt, exps, config)
     return _imex_step(state, dt, exps, config)
 
@@ -288,23 +294,15 @@ def step(state: FlowState, dt: float, exps: ExponentTable,
 def _classify_cluster(u: ScalarField, center: float, exps: ExponentTable,
                       config: FlowConfig, spin: SpinStructure) -> tuple:
     """Window solves near center with eigen_count, +6 and +14 pairs, widened
-    until the window brackets the cluster nearest center.  Returns the last
-    window, its eigenvalue nearest center and that cluster's SimplicityReport
-    (None when every window held a single cluster)."""
-    report = None
+    while the cluster nearest center is indeterminate with an uncertified gap
+    (it touches the window's edge, or fills the window).  Returns the last
+    window and its `simplicity_gap`, (window, kind, cluster)."""
     for count in (config.eigen_count, config.eigen_count + 6, config.eigen_count + 14):
         window = solve_window(u, center, count, spin, exps, seed=config.seed)
-        lams = window.eigenvalues
-        lam_near = float(lams[np.argmin(np.abs(lams - center))])
-        try:
-            report = simplicity_gap(window, lam_near,
-                                    gap_tol=config.gap_tol * (1.0 + abs(lam_near)))
-        except WindowTooNarrow:
-            continue  # whole window is one cluster: widen
-        if report.kind != "indeterminate" or report.gap_certified:
+        kind, cluster = simplicity_gap(window, center, config.gap_tol)
+        if kind != "indeterminate" or cluster.certified:
             break
-        # uncertified gap (cluster at the window edge): widen and retry
-    return window, lam_near, report
+    return window, kind, cluster
 
 
 def project_state(state: FlowState, exps: ExponentTable, config: FlowConfig) -> FlowState:
@@ -313,13 +311,13 @@ def project_state(state: FlowState, exps: ExponentTable, config: FlowConfig) -> 
 
     Raises SmallGap when the cluster is no longer quaternionic-simple.
     """
-    _window, _lam, report = _classify_cluster(state.u, state.pair.lam, exps, config,
-                                              state.pair.psi.spin)
-    if report is None or report.kind != "quaternionic_simple":
-        detail = ("no window brackets it" if report is None
-                  else f"{report.kind}, gap {report.exterior_gap:.3e}")
+    _window, kind, cluster = _classify_cluster(state.u, state.pair.lam, exps, config,
+                                               state.pair.psi.spin)
+    if kind != "quaternionic_simple":
+        detail = ("no window brackets it" if cluster.gap is None
+                  else f"{kind}, gap {cluster.gap:.3e}")
         raise SmallGap(f"tracked cluster no longer simple: {detail}")
-    return replace(state, gap=report.exterior_gap)
+    return replace(state, gap=cluster.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +357,23 @@ def prepare_initial_state(u0: ScalarField, target: float, exps: ExponentTable,
 
     Rejects initial data whose cluster nearest the target is not
     quaternionic-simple (constants on the flat torus are the canonical
-    rejection: the flat cluster has complex multiplicity 8).
+    rejection: the flat cluster has complex multiplicity 8), and, before any
+    window solve, a fixed first step above the CFL bound at u0.
     """
     spin = spin or SpinStructure()
     _check_positivity(u0)
-    window, lam_near, report = _classify_cluster(u0, target, exps, config, spin)
-    if abs(lam_near) < 1e-8:
+    if config.dt is not None:
+        _check_step(u0, min(config.dt, config.horizon), exps, config)
+    window, kind, cluster = _classify_cluster(u0, target, exps, config, spin)
+    if abs(cluster.mean) < 1e-8:
         raise NoSimpleEigenvalue("nearest eigenvalue is zero")
-    if report is None:
+    if cluster.gap is None:
         raise NoSimpleEigenvalue("window never covered the cluster's neighbors")
-    if report.kind != "quaternionic_simple":
+    if kind != "quaternionic_simple":
         raise NoSimpleEigenvalue(
-            f"cluster at {lam_near:.6f} is {report.kind} "
-            f"(size {report.cluster_size}, gap {report.exterior_gap:.3e})")
-    state = FlowState(0.0, u0, tracked_pair(window, lam_near), report.exterior_gap)
+            f"cluster at {cluster.mean:.6f} is {kind} "
+            f"(size {len(cluster.members)}, gap {cluster.gap:.3e})")
+    state = FlowState(0.0, u0, window.pair_of(cluster), cluster.gap)
     return state.with_diagnostics(exps)
 
 
@@ -444,7 +445,7 @@ def linearized_flow_operator(v: ScalarField, pair: EigenPair,
     pair = renormalize(v, pair, exps)
     psi = pair.psi
     lam = pair.lam
-    if gap is not None and gap < default_gap_tol(lam):
+    if gap is not None and gap < gap_floor(lam):
         raise SmallGap(f"linearization gap {gap:.3e} below tolerance")
     lv = conformal_laplacian(v, exps).values
     lap_v = laplacian(v).values

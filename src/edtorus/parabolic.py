@@ -24,7 +24,6 @@ from .fields import (
     grid_fft,
     grid_ifft,
     integrate_values,
-    scalar_field,
     scalar_symbols,
 )
 
@@ -259,7 +258,6 @@ def _spatial_operator(problem: ParabolicProblem, a: np.ndarray, w: np.ndarray,
 STEP_GMRES_RTOL = 1e-13
 STEP_GMRES_RESTART = 60
 STEP_GMRES_MAXITER = 40
-STEP_RESIDUAL_TOL = 1e-10
 
 
 def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
@@ -362,8 +360,7 @@ def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
     x, resid, iterations = _gmres(precondition_apply, residual, x, r, STEP_GMRES_RTOL * bnorm)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite implicit step solution at t = {t:.6g}")
-    converged = resid <= STEP_GMRES_RTOL * bnorm  # NaN fails too
-    if not (converged and resid <= STEP_RESIDUAL_TOL * bnorm):
+    if not resid <= STEP_GMRES_RTOL * bnorm:  # NaN fails too
         raise ConvergenceFailure("implicit step solve failed", iterations=iterations,
                                  residual=resid / bnorm)
     return x.reshape(shape), gw
@@ -375,9 +372,6 @@ class SolutionRecord:
     scheme: str
     times: np.ndarray
     states: np.ndarray  # shape (steps+1, n, n, n)
-
-    def final(self) -> ScalarField:
-        return scalar_field(self.problem.grid, self.states[-1])
 
 
 def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",

@@ -10,13 +10,13 @@ is exactly u-weighted orthonormality of the psi's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import zaxpy
 
 from .dirac import apply_dirac, dirac_values, j_values
-from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor, WindowTooNarrow
+from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor
 from .fields import (
     SPINOR_GRID_AXES,
     ExponentTable,
@@ -35,7 +35,7 @@ from .fields import (
 #: eigenvalues closer than this (relative) are treated as one cluster
 CLUSTER_REL_TOL = 1e-6
 
-#: default exterior gap below which a cluster is not called simple
+#: default relative exterior gap below which a cluster is not called simple
 DEFAULT_GAP_TOL = 1e-3
 
 #: process-local counts of solver work, in report order (`solver_stats`)
@@ -305,11 +305,7 @@ class SpectrumWindow:
     counts the window solver's LOBPCG iterations (0 from the dense oracle).
     It owns the rule that groups its eigenvalues into clusters."""
 
-    target: float
-    count: int
     pairs: list
-    u: ScalarField = field(repr=False)
-    exps: ExponentTable = field(repr=False)
     iterations: int = 0
 
     @property
@@ -336,41 +332,36 @@ class SpectrumWindow:
 
     def cluster_near(self, lam: float) -> Cluster:
         """The cluster holding the window eigenvalue nearest lam."""
-        lams = self.eigenvalues
-        if len(lams) == 0:
-            raise WindowTooNarrow("empty window")
-        nearest = int(np.argmin(np.abs(lams - lam)))
+        nearest = int(np.argmin(np.abs(self.eigenvalues - lam)))
         return next(c for c in self.clusters() if nearest in c.members)
 
+    def pair_of(self, cluster: Cluster) -> EigenPair:
+        """A cluster's mean eigenvalue with its first member's u-normalized psi."""
+        return EigenPair(cluster.mean, self.pairs[cluster.members[0]].psi)
 
-@dataclass
-class SimplicityReport:
-    kind: str  # quaternionic_simple | multiple | indeterminate
-    cluster_size: int
-    cluster_width: float
-    exterior_gap: float
-    gap_certified: bool
+
+def gap_floor(lam: float, gap_tol: float = DEFAULT_GAP_TOL) -> float:
+    """The smallest exterior gap of a simple cluster at lam: gap_tol (1 + |lam|)."""
+    return gap_tol * (1.0 + abs(lam))
 
 
 def simplicity_gap(window: SpectrumWindow, lam: float,
-                   gap_tol: float = DEFAULT_GAP_TOL) -> SimplicityReport:
-    """Classify the cluster at lam: at m = 3 'simple' means complex dimension 2.
-
-    Every eigenvalue is a Kramers pair, so a one-member cluster is half of a
-    pair cut by the window's edge and is 'indeterminate', like a small or
-    uncertified gap; three or more members are 'multiple'.
-    """
+                   gap_tol: float = DEFAULT_GAP_TOL) -> tuple:
+    """Classify the cluster nearest lam: (kind, cluster), kind one of
+    'quaternionic_simple' (at m = 3, complex dimension 2), 'multiple' and
+    'indeterminate'.  Every eigenvalue is a Kramers pair, so a one-member
+    cluster, half of a pair cut by the window's edge, is 'indeterminate', like
+    a gap below `gap_floor` at the cluster's mean, an uncertified gap or none
+    (the window is one cluster); three or more members are 'multiple'."""
     cluster = window.cluster_near(lam)
-    if cluster.gap is None:
-        raise WindowTooNarrow("window holds a single cluster; no exterior gap measurable")
     size = len(cluster.members)
-    if cluster.gap < gap_tol or size == 1:
+    if cluster.gap is None or cluster.gap < gap_floor(cluster.mean, gap_tol) or size == 1:
         kind = "indeterminate"
     elif size == 2:
         kind = "quaternionic_simple" if cluster.certified else "indeterminate"
     else:
         kind = "multiple"
-    return SimplicityReport(kind, size, cluster.width, cluster.gap, cluster.certified)
+    return kind, cluster
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +386,7 @@ class DenseSpectrum:
     def window(self, target: float, count: int) -> SpectrumWindow:
         sel = self.nearest_indices(target, count)
         pairs = [self.pair(i) for i in sel]
-        return SpectrumWindow(target, count, pairs, self.pencil.u, self.pencil.exps)
+        return SpectrumWindow(pairs)
 
 
 DENSE_GRID_LIMIT = 6
@@ -572,7 +563,7 @@ def _accepted_window(pencil: Pencil, Y: np.ndarray, CY: np.ndarray, count: int,
         return None
     pairs = [EigenPair(float(theta[i]), pencil.to_spinor(_fix_gauge(Z[:, i])))
              for i in range(count)]
-    return SpectrumWindow(sigma, count, pairs, pencil.u, pencil.exps, iterations=it)
+    return SpectrumWindow(pairs, iterations=it)
 
 
 def solve_window(u: ScalarField, target: float, count: int,

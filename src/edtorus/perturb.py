@@ -30,12 +30,12 @@ from .fields import (
     weighted_spinor_inner,
 )
 from .pencil import (
-    DEFAULT_GAP_TOL,
     EigenPair,
     Pencil,
     SpectrumWindow,
     deflated_solve,
     dense_oracle,
+    gap_floor,
     kramers_deflation,
     refine_pair,
 )
@@ -43,10 +43,6 @@ from .pencil import (
 #: identifiers of the rate formulas `perturb-validate` checks, for audit
 RATE_FORMULA_VERSIONS = {"eigen_rate": "first-order-continuation-v1",
                          "spinor_rate": "projected-resolvent-plus-v1"}
-
-
-def default_gap_tol(lam: float) -> float:
-    return DEFAULT_GAP_TOL * (1.0 + abs(lam))
 
 
 def pair_weight(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> float:
@@ -73,7 +69,7 @@ def projected_resolvent(u: ScalarField, lam: float, pair: EigenPair,
     weighted-orthogonal to the eigenspace and satisfies the stated residual
     contract relative to |r|.
     """
-    if gap is not None and gap < default_gap_tol(lam):
+    if gap is not None and gap < gap_floor(lam):
         raise SmallGap(f"resolvent gap {gap:.3e} below tolerance")
     pencil = Pencil(u, pair.psi.spin, exps)
     deflate = kramers_deflation(pencil, pencil.from_spinor(pair.psi))
@@ -128,11 +124,9 @@ def renormalize(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> EigenPa
 
 
 def tracked_pair(window: SpectrumWindow, lam_ref: float) -> EigenPair:
-    """The tracked Kramers pair of a window: the cluster nearest lam_ref, its
-    mean eigenvalue and its first member (window pairs are normalized in the
-    u-weighted inner product)."""
-    cluster = window.cluster_near(lam_ref)
-    return EigenPair(cluster.mean, window.pairs[cluster.members[0]].psi)
+    """The tracked Kramers pair of a window: that of the cluster nearest
+    lam_ref (`SpectrumWindow.pair_of`)."""
+    return window.pair_of(window.cluster_near(lam_ref))
 
 
 # ---------------------------------------------------------------------------

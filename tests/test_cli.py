@@ -225,10 +225,10 @@ class TestSpectrumCommand:
         assert data["eigenvalues"] == window.eigenvalues.tolist()
         assert sum(c["multiplicity"] for c in data["clusters"]) == 12
         for cluster in data["clusters"]:
-            rep = simplicity_gap(window, cluster["lambda"])
-            assert cluster["multiplicity"] == rep.cluster_size
-            assert cluster["width"] == rep.cluster_width
-            assert cluster["gap_in_window"] == rep.exterior_gap
+            _kind, rep = simplicity_gap(window, cluster["lambda"])
+            assert cluster["multiplicity"] == len(rep.members)
+            assert cluster["width"] == rep.width
+            assert cluster["gap_in_window"] == rep.gap
 
     def test_solver_stats_of_the_window(self, tmp_path, monkeypatch):
         # counted from a reset: two runs in one process report the same work
@@ -273,6 +273,16 @@ class TestFlowCommand:
         assert r.returncode == EXIT_REJECTED, r.stderr
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "NoSimpleEigenvalue" in summary["rejected"]
+
+    def test_fixed_dt_above_cfl_rejected_exit_3(self, tmp_path, monkeypatch):
+        # the first step breaks the CFL precondition at u0 (bound 1.7e-3 at
+        # N=6): rejected before any window solve
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cfg").write_text("grid.n = 6\nflow.dt = 0.01\noutput.dir = out\n")
+        assert main(["flow", "--config", "f.cfg"]) == EXIT_REJECTED
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["rejected"].startswith("StepTooLarge: dt = 1.000e-02 violates")
+        assert summary["solver_stats"]["window_solves"] == 0
 
     def test_run_monotone_and_conservative(self, tmp_path):
         (tmp_path / "f.cfg").write_text(FLOW_CFG.format(out="out"))
@@ -343,12 +353,11 @@ class TestFlowCommand:
         reports = []
 
         def collapsing(*args, **kwargs):
-            report = original(*args, **kwargs)
-            reports.append(report)
+            kind, cluster = original(*args, **kwargs)
+            reports.append((kind, cluster))
             if len(reports) == 1:  # the initial state
-                return report
-            return dataclasses.replace(report, kind="indeterminate",
-                                       exterior_gap=1e-3 * report.exterior_gap)
+                return kind, cluster
+            return "indeterminate", dataclasses.replace(cluster, gap=1e-3 * cluster.gap)
 
         monkeypatch.setattr(edtorus.flow, "simplicity_gap", collapsing)
         monkeypatch.chdir(tmp_path)

@@ -439,14 +439,14 @@ class TestSpectrumNear:
 class TestSimplicity:
     def test_flat_cluster_multiple(self, grid8):
         win = solve_window(constant_field(grid8, 1.0), 0.9, 12)
-        rep = simplicity_gap(win, SQRT3_2)
-        assert rep.kind == "multiple"
-        assert rep.cluster_size == 8
+        kind, cluster = simplicity_gap(win, SQRT3_2)
+        assert kind == "multiple"
+        assert len(cluster.members) == 8
 
     def test_scaled_constant_multiple(self, grid8):
         win = solve_window(constant_field(grid8, 2.0), 0.25, 12)
-        rep = simplicity_gap(win, SQRT3_2 / 4)
-        assert rep.kind == "multiple"
+        kind, _cluster = simplicity_gap(win, SQRT3_2 / 4)
+        assert kind == "multiple"
 
     def test_generic_simple_cluster(self, grid6, spin, exps):
         # verified against dense-oracle gaps: the lowest positive cluster of
@@ -455,20 +455,20 @@ class TestSimplicity:
         u = generic_u(grid6)
         dense = dense_oracle(u)
         win = dense.window(0.0, 8)
-        rep = simplicity_gap(win, 0.611)
-        assert rep.kind == "quaternionic_simple"
-        assert rep.cluster_size == 2
-        assert rep.exterior_gap > 5e-3
-        assert rep.gap_certified
+        kind, cluster = simplicity_gap(win, 0.611)
+        assert kind == "quaternionic_simple"
+        assert len(cluster.members) == 2
+        assert cluster.gap > 5e-3
+        assert cluster.certified
 
     def test_trivial_shift_cluster_is_a_pair(self, grid6, exps):
         # J commutes with D at shift (0, 0, 0) as well, so the eigenvalue
         # nearest 0.87 has its Kramers partner
         u = generic_u(grid6)
         win = dense_oracle(u, SpinStructure((0.0, 0.0, 0.0)), exps).window(0.87, 12)
-        rep = simplicity_gap(win, 0.87)
-        assert rep.cluster_size == 2
-        assert rep.kind == "quaternionic_simple"
+        kind, cluster = simplicity_gap(win, 0.87)
+        assert len(cluster.members) == 2
+        assert kind == "quaternionic_simple"
 
     def test_one_member_cluster_indeterminate(self, grid6, spin, exps):
         # a window of odd count cuts its farthest pair in half: that
@@ -476,9 +476,18 @@ class TestSimplicity:
         win = dense_oracle(generic_u(grid6), spin, exps).window(0.87, 3)
         assert [len(c.members) for c in win.clusters()] in ([1, 2], [2, 1])
         lone = next(c for c in win.clusters() if len(c.members) == 1)
-        rep = simplicity_gap(win, lone.mean)
-        assert rep.cluster_size == 1 and rep.exterior_gap > 1e-3
-        assert rep.kind == "indeterminate"
+        kind, cluster = simplicity_gap(win, lone.mean)
+        assert len(cluster.members) == 1 and cluster.gap > 1e-3
+        assert kind == "indeterminate"
+
+    def test_one_cluster_window_indeterminate(self, grid6, spin, exps):
+        # the dense flat N=6 window of 8 at sqrt(3)/2 is one 8-fold cluster:
+        # it has no exterior gap, so it is indeterminate and uncertified
+        win = dense_oracle(constant_field(grid6, 1.0), spin, exps).window(SQRT3_2, 8)
+        kind, cluster = simplicity_gap(win, SQRT3_2)
+        assert kind == "indeterminate"
+        assert len(cluster.members) == 8
+        assert cluster.gap is None and not cluster.certified
 
 
     @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.5, 0.5)])
