@@ -53,6 +53,10 @@ EXIT_CONVERGENCE = 2
 EXIT_REJECTED = 3
 EXIT_CONFIG = 4
 
+#: precondition rejections, which `main` maps to exit 3: the datum or the
+#: step lies outside what the flow accepts
+_REJECTIONS = (NoSimpleEigenvalue, PositivityLoss, NonPositiveConformalFactor, StepTooLarge)
+
 
 # ---------------------------------------------------------------------------
 # Configuration.
@@ -129,7 +133,11 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {str(path)!r}: {exc}") from None
+    return parse_config_text(text)
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -290,7 +298,11 @@ def write_csv(path: Path, columns, rows) -> None:
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output.dir {str(out)!r}: {exc}",
+                              key="output.dir") from None
     return out
 
 
@@ -304,18 +316,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     exps = ExponentTable(3)
     u = build_initial(cfg, grid)
     target = cfg.get_float("eigen.target")
-    reset_solver_stats()
-    try:
-        window = solve_window(u, target, count=12, spin=spin, exps=exps,
-                              seed=cfg.get_int("seed"))
-    except ConvergenceFailure as exc:
-        print(f"spectrum: convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except NonPositiveConformalFactor as exc:
-        print(f"spectrum: rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-
     out = _outdir(cfg)
+    reset_solver_stats()
+    window = solve_window(u, target, count=12, spin=spin, exps=exps, seed=cfg.get_int("seed"))
     lams = window.eigenvalues
     clusters = [{"lambda": c.mean, "multiplicity": len(c.members), "width": c.width,
                  "gap_in_window": c.gap} for c in window.clusters()]
@@ -349,46 +352,38 @@ def cmd_flow(cfg: RunConfig) -> int:
             write_snapshot(out / f"u_{step_index:06d}.edf", state.u)
             write_snapshot(out / f"psi_{step_index:06d}.edf", state.pair.psi)
 
-    reset_solver_stats()
-    try:
-        traj = flow_run(u0, cfg.get_float("eigen.target"), fc, exps, spin,
-                        snapshot_hook=hook if stride else None)
-    except (NoSimpleEigenvalue, PositivityLoss, NonPositiveConformalFactor,
-            StepTooLarge, ConvergenceFailure) as exc:
-        failed = isinstance(exc, ConvergenceFailure)
+    def write_summary(exc, **fields) -> None:
         write_json(out / "summary.json", {
-            "config": cfg.values,
-            "failed" if failed else "rejected": f"{type(exc).__name__}: {exc}",
+            "config": cfg.values, **fields,
             "iterations": getattr(exc, "iterations", None),
             "residual": getattr(exc, "residual", None),
             "solver_stats": solver_stats(),
             "formulas": FORMULA_VERSIONS,
         })
-        if failed:
-            print(f"flow: convergence failure: {exc}", file=sys.stderr)
-            return EXIT_CONVERGENCE
-        print(f"flow: rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+
+    reset_solver_stats()
+    try:
+        traj = flow_run(u0, cfg.get_float("eigen.target"), fc, exps, spin,
+                        snapshot_hook=hook if stride else None)
+    except (*_REJECTIONS, ConvergenceFailure) as exc:
+        outcome = "failed" if isinstance(exc, ConvergenceFailure) else "rejected"
+        write_summary(exc, **{outcome: f"{type(exc).__name__}: {exc}"})
+        raise
 
     write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, traj.rows)
     vols = traj.column("volume")
-    write_json(out / "summary.json", {
-        "config": cfg.values,
-        "steps": len(traj.rows) - 1,
-        "final_time": traj.rows[-1][0],
-        "final_lambda": traj.rows[-1][1],
-        "volume_drift": float(np.abs(vols - vols[0]).max() / vols[0]),
-        "max_constraint_residual": float(traj.column("constraint_residual").max()),
-        "abort_reason": traj.abort_reason,
-        "iterations": getattr(traj.abort_error, "iterations", None),
-        "residual": getattr(traj.abort_error, "residual", None),
-        "solver_stats": solver_stats(),
-        "formulas": FORMULA_VERSIONS,
-    })
+    write_summary(
+        traj.abort_error,
+        steps=len(traj.rows) - 1,
+        final_time=traj.rows[-1][0],
+        final_lambda=traj.rows[-1][1],
+        volume_drift=float(np.abs(vols - vols[0]).max() / vols[0]),
+        max_constraint_residual=float(traj.column("constraint_residual").max()),
+        abort_reason=traj.abort_reason,
+    )
     print(f"flow: {len(traj.rows) - 1} steps to t={fmt(traj.rows[-1][0])} -> {out}")
     if isinstance(traj.abort_error, ConvergenceFailure):
-        print(f"flow: convergence failure: {traj.abort_error}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        raise traj.abort_error
     return EXIT_OK
 
 
@@ -399,6 +394,7 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
         grid, lambda x, y, z: 1 + 0.3 * np.cos(x) + 0.2 * np.cos(y + z))
     udot = field_from_function(
         grid, lambda x, y, z: np.cos(x) + 0.4 * np.cos(y) + 0.3 * np.cos(x + z))
+    out = _outdir(cfg)
 
     reset_solver_stats()
     study = fd_study(u, udot, 0.88, exps)
@@ -412,7 +408,6 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
 
     ok = (lam_rep.ok and psi_rep.ok
           and scaling_err <= 1e-12 and abs(psi_rep.extras["norm_rate"]) <= 1e-9)
-    out = _outdir(cfg)
     write_json(out / "perturb_validate.json", {
         "lambda_rate_slope": lam_rep.slope,
         "lambda_rate_errors": [float(e) for e in lam_rep.errors],
@@ -430,6 +425,7 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
 
 
 def cmd_parabolic_validate(cfg: RunConfig) -> int:
+    out = _outdir(cfg)
     grid = TorusGrid(8)
     one = np.ones(grid.shape)
     x1, x2, x3 = grid.coords()
@@ -489,7 +485,6 @@ def cmd_parabolic_validate(cfg: RunConfig) -> int:
 
     ok = (abs(cn_order - 2.0) <= 0.1 and energy.ok and sweep_pass == n_sweep
           and axioms.a2_violation <= 1e-12 and uniq <= 1e-9)
-    out = _outdir(cfg)
     write_json(out / "parabolic_validate.json", {
         "cn_errors": errs,
         "cn_order": cn_order,
@@ -506,6 +501,7 @@ def cmd_parabolic_validate(cfg: RunConfig) -> int:
 
 
 def cmd_covariance_check(cfg: RunConfig) -> int:
+    out = _outdir(cfg)
     exps = ExponentTable(3)
     grid = TorusGrid(16)
     zero = scalar_field(grid, np.zeros(grid.shape))
@@ -517,7 +513,6 @@ def cmd_covariance_check(cfg: RunConfig) -> int:
     r_band = conformal.yamabe_covariance_residual(f_b, u_a, exps)
 
     ok = r_zero == 0.0 and r_const <= 1e-10 and r_band <= 1e-8
-    out = _outdir(cfg)
     write_json(out / "covariance_check.json", {
         "residual_f_zero": r_zero,
         "residual_f_constant": r_const,
@@ -553,15 +548,13 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config) if args.config else parse_config_text("")
-    except (ParseError, ValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         return _COMMANDS[args.command](cfg)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _REJECTIONS as exc:
+        print(f"{args.command}: rejected: {exc}", file=sys.stderr)
+        return EXIT_REJECTED
     except EdtorusError as exc:
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

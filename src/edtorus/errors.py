@@ -47,7 +47,7 @@ class PositivityLoss(EdtorusError):
     """The evolving conformal factor dropped below the positivity floor."""
 
 
-class StepTooLarge(EdtorusError, ValueError):
+class StepTooLarge(EdtorusError):
     """A fixed time step violates the CFL precondition of the explicit scheme."""
 
 

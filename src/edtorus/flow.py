@@ -58,7 +58,6 @@ from .parabolic import (
 from .pencil import (
     DEFAULT_GAP_TOL,
     EigenPair,
-    gap_floor,
     refine_pair,
     simplicity_gap,
     solve_window,
@@ -428,8 +427,7 @@ def run(u0: ScalarField, target: float, config: FlowConfig,
 # ---------------------------------------------------------------------------
 
 def linearized_flow_operator(v: ScalarField, pair: EigenPair,
-                             exps: ExponentTable,
-                             gap: Optional[float] = None) -> NonlocalOperator:
+                             exps: ExponentTable) -> NonlocalOperator:
     """Linearization remainder of the flow right side at the path point v.
 
     Defined by the directional-derivative identity
@@ -445,8 +443,6 @@ def linearized_flow_operator(v: ScalarField, pair: EigenPair,
     pair = renormalize(v, pair, exps)
     psi = pair.psi
     lam = pair.lam
-    if gap is not None and gap < gap_floor(lam):
-        raise SmallGap(f"linearization gap {gap:.3e} below tolerance")
     lv = conformal_laplacian(v, exps).values
     lap_v = laplacian(v).values
     scal = background_scalar_curvature(grid).values

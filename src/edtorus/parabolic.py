@@ -174,7 +174,6 @@ def h1_norm_sq(grid: TorusGrid, w: np.ndarray) -> float:
 class AxiomReport:
     a1_constant: float
     a2_violation: float
-    trials: int
 
 
 def _probe_fields(grid: TorusGrid, rng: np.random.Generator, trials: int) -> np.ndarray:
@@ -205,7 +204,7 @@ def check_axioms(op: NonlocalOperator, trials: int = 100) -> AxiomReport:
         diff = op.apply(alpha * w, t) - alpha * lw
         scale = max(np.abs(lw).max() * abs(alpha), 1.0)
         a2 = max(a2, float(np.abs(diff).max() / scale))
-    return AxiomReport(a1, a2, trials)
+    return AxiomReport(a1, a2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +367,6 @@ def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
 
 @dataclass
 class SolutionRecord:
-    problem: ParabolicProblem
-    scheme: str
     times: np.ndarray
     states: np.ndarray  # shape (steps+1, n, n, n)
 
@@ -411,7 +408,7 @@ def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
             rhs = w - 0.5 * dt * gw + 0.5 * dt * (problem.force(t0) + problem.force(t1))
         x0 = rng.standard_normal(problem.grid.num_points) if x0_mode == "random" else None
         states[k + 1], gw = _step_solve(problem, theta * dt, t1, rhs, x0)
-    return SolutionRecord(problem, scheme, times, states)
+    return SolutionRecord(times, states)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +487,6 @@ class EnergyReport:
     ok: bool
     lhs: float
     rhs: float
-    margin: float
-    a: float
-    kappa: float
 
 
 def energy_estimate_check(problem: ParabolicProblem, solution: SolutionRecord,
@@ -515,9 +509,8 @@ def energy_estimate_check(problem: ParabolicProblem, solution: SolutionRecord,
     f_term = float(np.trapezoid(wgt * f_series, times))
     u0_sq = integrate_values(grid, problem.initial.values ** 2)
     rhs = (u0_sq + f_term) / garding.delta
-    margin = rhs - lhs
     ok = lhs <= rhs * (1.0 + 1e-9) + 1e-12
-    return EnergyReport(bool(ok), lhs, rhs, margin, a, garding.kappa)
+    return EnergyReport(bool(ok), lhs, rhs)
 
 
 def uniqueness_check(problem: ParabolicProblem) -> float:

@@ -340,22 +340,18 @@ class SpectrumWindow:
         return EigenPair(cluster.mean, self.pairs[cluster.members[0]].psi)
 
 
-def gap_floor(lam: float, gap_tol: float = DEFAULT_GAP_TOL) -> float:
-    """The smallest exterior gap of a simple cluster at lam: gap_tol (1 + |lam|)."""
-    return gap_tol * (1.0 + abs(lam))
-
-
 def simplicity_gap(window: SpectrumWindow, lam: float,
                    gap_tol: float = DEFAULT_GAP_TOL) -> tuple:
     """Classify the cluster nearest lam: (kind, cluster), kind one of
     'quaternionic_simple' (at m = 3, complex dimension 2), 'multiple' and
     'indeterminate'.  Every eigenvalue is a Kramers pair, so a one-member
     cluster, half of a pair cut by the window's edge, is 'indeterminate', like
-    a gap below `gap_floor` at the cluster's mean, an uncertified gap or none
-    (the window is one cluster); three or more members are 'multiple'."""
+    a gap below gap_tol (1 + |mean|) at the cluster's mean, an uncertified gap
+    or none (the window is one cluster); three or more members are 'multiple'."""
     cluster = window.cluster_near(lam)
     size = len(cluster.members)
-    if cluster.gap is None or cluster.gap < gap_floor(cluster.mean, gap_tol) or size == 1:
+    floor = gap_tol * (1.0 + abs(cluster.mean))
+    if cluster.gap is None or cluster.gap < floor or size == 1:
         kind = "indeterminate"
     elif size == 2:
         kind = "quaternionic_simple" if cluster.certified else "indeterminate"
@@ -759,7 +755,8 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
     the deflation off span{chi, J chi} (the same well-conditioned system the
     projected resolvent uses; raw shifted solves at the nearly singular
     Rayleigh shift are unreliable with Krylov inner solves).  Quadratically
-    convergent; the caller is responsible for the cluster staying simple.
+    convergent; the caller is responsible for the cluster staying simple,
+    which `flow.project_state` re-measures.
     Raises ConvergenceFailure when an inner solve fails (with its iterations
     and residual) or when max_steps sweeps leave the residual above tol
     (with the MINRES iterations of all sweeps).

@@ -20,7 +20,15 @@ from edtorus.cli import (
     main,
     parse_config_text,
 )
-from edtorus.errors import ConvergenceFailure, ParseError, PositivityLoss, ValidationError
+from edtorus.errors import (
+    ConvergenceFailure,
+    NoSimpleEigenvalue,
+    NonPositiveConformalFactor,
+    ParseError,
+    PositivityLoss,
+    StepTooLarge,
+    ValidationError,
+)
 from edtorus.fields import SpinorField
 from edtorus.pencil import EigenPair
 
@@ -250,6 +258,48 @@ class TestSpectrumCommand:
         (tmp_path / "bad.cfg").write_text("flw.dt = 0.1\n")
         r = run_cli(["spectrum", "--config", "bad.cfg"], tmp_path)
         assert r.returncode == EXIT_CONFIG, r.stderr
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (NoSimpleEigenvalue, EXIT_REJECTED),
+        (PositivityLoss, EXIT_REJECTED),
+        (NonPositiveConformalFactor, EXIT_REJECTED),
+        (StepTooLarge, EXIT_REJECTED),
+        (ConvergenceFailure, EXIT_CONVERGENCE),
+    ])
+    def test_one_mapping_for_every_command(self, tmp_path, monkeypatch, capsys, error, code):
+        # main alone maps a package error to its exit code, so spectrum maps
+        # each rejection as flow does
+        def failing_window(*_args, **_kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(edtorus.cli, "solve_window", failing_window)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"grid.n = 4\noutput.dir = {tmp_path / 'out'}\n")
+        assert main(["spectrum", "--config", str(cfg)]) == code
+        label = "rejected" if code == EXIT_REJECTED else error.__name__
+        assert capsys.readouterr().err == f"spectrum: {label}: injected\n"
+
+    @pytest.mark.parametrize("defect", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, defect):
+        path = tmp_path / "c.cfg"
+        if defect == "directory":
+            path.mkdir()
+        elif defect == "not-utf8":
+            path.write_bytes(b"seed = 3 # \xff\xfe\n")
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
+    @pytest.mark.parametrize("command", ["spectrum", "flow", "perturb-validate",
+                                         "parabolic-validate", "covariance-check"])
+    def test_output_dir_that_is_a_file_is_config_error(self, tmp_path, capsys, command):
+        # every command creates its output directory before it computes
+        (tmp_path / "taken").write_text("")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"grid.n = 4\noutput.dir = {tmp_path / 'taken'}\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: cannot create output.dir")
 
 
 FLOW_CFG = """grid.n = 6

@@ -5,7 +5,7 @@ import edtorus.flow
 import edtorus.pencil
 from edtorus.conformal import conformal_laplacian, laplacian, total_energy
 from edtorus.dirac import quaternionic_j
-from edtorus.errors import ConvergenceFailure, NoSimpleEigenvalue, SmallGap
+from edtorus.errors import ConvergenceFailure, NoSimpleEigenvalue, StepTooLarge
 from edtorus.fields import (
     SpinorField,
     SpinStructure,
@@ -219,7 +219,7 @@ class TestStep:
         state = FlowState(0.0, u, pair, gap=0.07)
         cfg = FlowConfig()
         bound = cfl_bound(u, exps, cfg.cfl)
-        with pytest.raises(ValueError):
+        with pytest.raises(StepTooLarge):
             step(state, 2.0 * bound, exps, cfg)
 
 
@@ -345,11 +345,6 @@ class TestLinearizedOperator:
             alpha = 1.0 + t
             diff = op.apply(alpha * w, t) - alpha * op.apply(w, t)
             assert np.abs(diff).max() <= 1e-12
-
-    def test_small_gap_guard(self, state6, exps):
-        grid, u, pair = state6
-        with pytest.raises(SmallGap):
-            linearized_flow_operator(u, pair, exps, gap=1e-8)
 
 
 class TestSchemes:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edtorus.dirac import quaternionic_j
-from edtorus.errors import SmallGap, ZeroEigenvalue
+from edtorus.errors import ZeroEigenvalue
 from edtorus.fields import (
     SpinorField,
     TorusGrid,
@@ -114,11 +114,6 @@ class TestProjectedResolvent:
         assert resid <= 1e-9 * scale
         assert abs(weighted_spinor_inner_c(u, pair.psi, x, exps)) <= 1e-10
         assert abs(weighted_spinor_inner_c(u, jpsi, x, exps)) <= 1e-10
-
-    def test_small_gap_guard(self, tracked, exps):
-        grid, u, pair = tracked
-        with pytest.raises(SmallGap):
-            projected_resolvent(u, pair.lam, pair, pair.psi, exps, gap=1e-6)
 
 
 class TestPsiDot:
