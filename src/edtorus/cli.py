@@ -456,10 +456,10 @@ def cmd_parabolic_validate(cfg: RunConfig) -> int:
     heat_err = float(np.abs(sol_h.states[-1] - np.exp(-1) * u0.values).max())
     energy = parabolic.energy_estimate_check(heat, sol_h, 1.5)
 
-    # randomized energy-estimate sweep
+    # randomized energy-estimate sweep, the problems marched together
     rng = np.random.default_rng(cfg.get_int("seed"))
-    sweep_pass = 0
     n_sweep = 20
+    problems = []
     for _ in range(n_sweep):
         base = parabolic.random_band_limited(grid, rng)
         amp = 0.3 * rng.uniform(0.3, 1.0)
@@ -472,8 +472,9 @@ def cmd_parabolic_validate(cfg: RunConfig) -> int:
         f_field = parabolic.random_band_limited(grid, rng)
         f_fun = (lambda t, ff=f_field: np.cos(2 * t) * ff)
         w0 = scalar_field(grid, 0.5 * parabolic.random_band_limited(grid, rng))
-        prob = parabolic.ParabolicProblem(grid, a_fun, op, f_fun, w0, 1.0, 32)
-        sol = parabolic.solve(prob)
+        problems.append(parabolic.ParabolicProblem(grid, a_fun, op, f_fun, w0, 1.0, 32))
+    sweep_pass = 0
+    for prob, sol in zip(problems, parabolic.solve_batch(problems)):
         gr = parabolic.garding_constants(prob, probes=40)
         rep = parabolic.energy_estimate_check(prob, sol, gr.kappa + 0.75, garding=gr)
         sweep_pass += rep.ok

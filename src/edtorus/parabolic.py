@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import ConvergenceFailure, NonFiniteState, NonPositiveDiffusivity, 
 from .fields import (
     ScalarField,
     TorusGrid,
+    _freeze,
     _integer_modes,
     grid_fft,
     grid_ifft,
@@ -54,8 +56,9 @@ class Multiply:
 
     coefficient: Provider
 
-    def apply(self, grid: TorusGrid, w: np.ndarray, t: float) -> np.ndarray:
-        return self.coefficient(t) * w
+    def at(self, grid: TorusGrid, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        a = self.coefficient(t)
+        return lambda w: a * w
 
     def bound_hint(self, grid: TorusGrid, t: float) -> float:
         return float(np.abs(self.coefficient(t)).max())
@@ -68,8 +71,9 @@ class RankOne:
     kernel: Provider
     emitter: Provider
 
-    def apply(self, grid: TorusGrid, w: np.ndarray, t: float) -> np.ndarray:
-        return integrate_values(grid, w * self.kernel(t)) * self.emitter(t)
+    def at(self, grid: TorusGrid, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        k, h = self.kernel(t), self.emitter(t)
+        return lambda w: integrate_values(grid, w * k) * h
 
     def bound_hint(self, grid: TorusGrid, t: float) -> float:
         knorm = np.sqrt(integrate_values(grid, self.kernel(t) ** 2))
@@ -86,8 +90,8 @@ class FiberLinear:
     fn: Callable[[np.ndarray, float], np.ndarray]
     bound: float = np.inf
 
-    def apply(self, grid: TorusGrid, w: np.ndarray, t: float) -> np.ndarray:
-        return self.fn(w, t)
+    def at(self, grid: TorusGrid, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda w: self.fn(w, t)
 
     def bound_hint(self, grid: TorusGrid, t: float) -> float:
         return self.bound
@@ -100,11 +104,21 @@ class NonlocalOperator:
     grid: TorusGrid
     terms: list = field(default_factory=list)
 
+    def at(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The fiber map w -> L[w](., t), every term's providers evaluated
+        once, for callers that apply L at one t many times."""
+        maps = [term.at(self.grid, t) for term in self.terms]
+
+        def apply(w: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(w, dtype=np.float64)
+            for term in maps:
+                out = out + term(w)
+            return out
+
+        return apply
+
     def apply(self, w: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(w, dtype=np.float64)
-        for term in self.terms:
-            out = out + term.apply(self.grid, w, t)
-        return out
+        return self.at(t)(w)
 
     def bound_hint(self, t: float) -> float:
         return sum(term.bound_hint(self.grid, t) for term in self.terms)
@@ -243,13 +257,15 @@ class ParabolicProblem:
         return float(np.min([self.diffusivity(t).min() for t in self.times()]))
 
 
-def _spatial_operator(problem: ParabolicProblem, a: np.ndarray, w: np.ndarray,
-                      t: float) -> np.ndarray:
-    """G_t[w] = -A(.,t) Lap w + L[w](.,t), given a = A(.,t), on raw values:
-    the flat Laplacian is the multiplier -|kappa|^2."""
-    k_sq = scalar_symbols(problem.grid.n, problem.grid.length).k_sq
-    lap = grid_ifft(-k_sq * grid_fft(w)).real
-    return -a * lap + problem.operator.apply(w, t)
+def _spatial_operator(grid: TorusGrid, a: np.ndarray, fibers: list,
+                      w: np.ndarray) -> np.ndarray:
+    """G_t[w_p] = -A_p(.,t) Lap w_p + L_p[w_p](.,t) of each field of a stack w
+    (P, n, n, n), given a, the A_p(.,t) stacked, and fibers, the L_p at t
+    (`NonlocalOperator.at`), on raw values: the flat Laplacian is the
+    multiplier -|kappa|^2, one batched transform pair for the stack."""
+    k_sq = scalar_symbols(grid.n, grid.length).k_sq
+    lap = grid_ifft(-k_sq * grid_fft(w, axes=_BATCH_AXES), axes=_BATCH_AXES).real
+    return -a * lap + np.stack([fiber(v) for fiber, v in zip(fibers, w)])
 
 
 #: GMRES settings of the implicit step, and the relative true residual
@@ -259,110 +275,153 @@ STEP_GMRES_RESTART = 60
 STEP_GMRES_MAXITER = 40
 
 
-def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
-           r: np.ndarray, tol: float):
-    """Restarted right-preconditioned GMRES (Saad & Schultz 1986) for A x = b.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of v (P, n), each from one BLAS dot product as
+    `np.linalg.norm` forms it for a single vector."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
-    precondition_apply(v) returns (z, A z) with z = M v; residual(x) returns
-    b - A x, and r = residual(x) on entry.  A cycle of at most
-    STEP_GMRES_RESTART iterations orthogonalizes A z against the stacked
-    Arnoldi basis by classical Gram-Schmidt, twice, through BLAS; Givens
-    rotations on Python floats give the least-squares residual |g|, which a
-    cycle stops on at tol.  The cycle's solution is x + sum_j y_j z_j, and its
-    true residual is recomputed from that x.  Stops once that residual is <=
-    tol or not finite, or after STEP_GMRES_MAXITER cycles.  Returns (x, |r|,
-    iterations)."""
-    n, m = x.size, STEP_GMRES_RESTART
-    basis = np.empty((m + 1, n))
-    preconditioned = np.empty((m, n))  # the z_j
-    beta = float(np.linalg.norm(r))
-    iterations = 0
-    for _cycle in range(STEP_GMRES_MAXITER):
-        if not tol < beta < math.inf:
-            break
-        np.multiply(r, 1.0 / beta, out=basis[0])
-        g = [beta]
-        rotations = []
-        columns = []  # of the triangular factor
-        for j in range(m):
-            preconditioned[j], w = precondition_apply(basis[j])
-            prev = basis[:j + 1]
-            h = prev @ w
-            w -= h @ prev
-            h2 = prev @ w
-            w -= h2 @ prev
-            h_next = float(np.linalg.norm(w))
-            col = (h + h2).tolist() + [h_next]
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            rho = math.hypot(col[j], col[j + 1])
-            c, s = col[j] / rho, col[j + 1] / rho
-            rotations.append((c, s))
-            col[j] = rho
-            columns.append(col[:j + 1])
-            g.append(-s * g[j])
-            g[j] *= c
-            iterations += 1
-            if abs(g[j + 1]) <= tol:
-                break
-            np.multiply(w, 1.0 / h_next, out=basis[j + 1])
-        k = len(columns)
+
+@dataclass
+class _Arnoldi:
+    """One row's least-squares state in a GMRES cycle, on Python floats: the
+    Givens rotations (c, s), the columns of the triangular factor and g,
+    whose last entry is the row's least-squares residual."""
+
+    g: list
+    rotations: list = field(default_factory=list)
+    columns: list = field(default_factory=list)
+
+    def add_column(self, col: list) -> float:
+        """Rotate the new Hessenberg column col (length j + 2) into the
+        factor; returns the least-squares residual |g_{j+1}|."""
+        j = len(self.rotations)
+        for i, (c, s) in enumerate(self.rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[j], col[j + 1])
+        c, s = col[j] / rho, col[j + 1] / rho
+        self.rotations.append((c, s))
+        col[j] = rho
+        self.columns.append(col[:j + 1])
+        self.g.append(-s * self.g[j])
+        self.g[j] *= c
+        return abs(self.g[j + 1])
+
+    def coefficients(self) -> list:
+        """y of the cycle's solution x + sum_j y_j z_j, by back substitution."""
+        k = len(self.columns)
         y = [0.0] * k
         for i in reversed(range(k)):
-            y[i] = (g[i] - sum(columns[q][i] * y[q] for q in range(i + 1, k))) / columns[i][i]
-        x = x + np.array(y) @ preconditioned[:k]
-        r = residual(x)
-        beta = float(np.linalg.norm(r))
+            total = sum(self.columns[q][i] * y[q] for q in range(i + 1, k))
+            y[i] = (self.g[i] - total) / self.columns[i][i]
+        return y
+
+
+def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
+           r: np.ndarray, tol: np.ndarray):
+    """Restarted right-preconditioned GMRES (Saad & Schultz 1986) for the
+    independent systems A_p x_p = b_p of a stack, x of shape (P, n), marched
+    in lockstep.
+
+    precondition_apply(rows, v) returns (z, A z) with z = M v for the rows
+    `rows` of the stack, v holding one vector per row; residual(rows, x)
+    returns b - A x for those rows, and r = b - A x on entry.  Each row runs
+    the one-system method against its own tol: a cycle of at most
+    STEP_GMRES_RESTART iterations orthogonalizes A z against the row's
+    Arnoldi basis by classical Gram-Schmidt, twice, through BLAS; Givens
+    rotations on Python floats (`_Arnoldi`) give its least-squares residual,
+    and the row leaves the cycle once that is <= tol, with x + sum_j y_j z_j
+    as its solution.  The Krylov columns of the rows still iterating are
+    stacked and grow by one per iteration.  Once every row of a cycle has
+    left, their true residuals are recomputed in one call, and a row stops
+    once that residual is <= tol or not finite, or after STEP_GMRES_MAXITER
+    cycles.  Returns (x, |r|, iterations), one entry per row."""
+    beta = _norms(r)
+    iterations = np.zeros(len(x), dtype=np.int64)
+    for _cycle in range(STEP_GMRES_MAXITER):
+        rows = np.flatnonzero((tol < beta) & (beta < math.inf))
+        if not rows.size:
+            break
+        live = rows  # the cycle's rows still iterating
+        arnoldi = {p: _Arnoldi([float(beta[p])]) for p in rows.tolist()}
+        basis = (r[rows] * (1.0 / beta[rows])[:, None])[:, None]
+        zs = np.empty((rows.size, 0, x.shape[1]))
+        for j in range(STEP_GMRES_RESTART):
+            z, w = precondition_apply(live, basis[:, j])
+            zs = np.concatenate([zs, z[:, None]], axis=1)
+            h = np.matmul(basis, w[:, :, None])
+            w -= np.matmul(h.swapaxes(1, 2), basis)[:, 0]
+            h2 = np.matmul(basis, w[:, :, None])
+            w -= np.matmul(h2.swapaxes(1, 2), basis)[:, 0]
+            h_next = _norms(w)
+            hessenberg = zip(live.tolist(), (h + h2)[:, :, 0].tolist(), h_next.tolist())
+            done = [arnoldi[p].add_column(col + [hn]) <= tol[p] or j + 1 == STEP_GMRES_RESTART
+                    for p, col, hn in hessenberg]
+            if any(done):
+                done = np.array(done)
+                y = np.array([arnoldi[p].coefficients() for p in live[done].tolist()])
+                x[live[done]] += np.matmul(y[:, None], zs[done])[:, 0]
+                live, basis, zs, w, h_next = (v[~done] for v in (live, basis, zs, w, h_next))
+                if not live.size:
+                    break
+            basis = np.concatenate([basis, (w * (1.0 / h_next)[:, None])[:, None]], axis=1)
+        iterations[rows] += [len(arnoldi[p].columns) for p in rows.tolist()]
+        r[rows] = residual(rows, x[rows])
+        beta[rows] = _norms(r[rows])
     return x, beta, iterations
 
 
-def _step_solve(problem: ParabolicProblem, theta_dt: float, t: float,
-                rhs: np.ndarray, x0: Optional[np.ndarray]) -> tuple:
-    """Solve (I + theta_dt G_t) w = rhs by `_gmres` (x0 None: zero start),
-    right-preconditioned by M = 1 / (1 + theta_dt abar |kappa|^2), abar the
-    mean diffusivity.  An iteration transforms v forward once and (M v,
-    Lap M v) back in one batched inverse.  Returns (w, G_t w) once the
-    recomputed true residual is <= STEP_GMRES_RTOL |rhs|, G_t w being the
-    application that residual check made on the returned w; else raises
-    ConvergenceFailure.  A non-finite rhs or result raises NonFiniteState."""
+def _step_solve(problems: list, theta_dt: float, t: float, rhs: np.ndarray,
+                x0: Optional[np.ndarray]) -> tuple:
+    """Solve (I + theta_dt G^p_t) w_p = rhs_p for every problem p of a batch,
+    rhs of shape (P, n, n, n), by `_gmres` (x0 None: zero start, else one
+    start vector per row), each row right-preconditioned by its own M = 1 /
+    (1 + theta_dt abar |kappa|^2), abar the problem's mean diffusivity.  A
+    lockstep iteration transforms the iterating rows' v forward once and
+    their (M v, Lap M v) back in one batched inverse; each problem's
+    diffusivity and operator are evaluated at t once.  Returns the stacks
+    (w, G_t w) once every row's recomputed true residual is <= STEP_GMRES_RTOL
+    |rhs_p|, G_t w being the application that residual check made on the
+    returned w, and a row with a zero rhs returning zeros; else raises
+    ConvergenceFailure with the iterations and residual of the first row
+    that missed.  A non-finite rhs or result raises NonFiniteState."""
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteState(f"non-finite implicit step right-hand side at t = {t:.6g}")
-    grid = problem.grid
-    shape = grid.shape
-    b = rhs.reshape(-1)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(shape), np.zeros(shape)
+    grid = problems[0].grid
+    b = rhs.reshape(len(problems), -1)
+    bnorm = _norms(b)
     k_sq = scalar_symbols(grid.n, grid.length).k_sq
-    a = problem.diffusivity(t)
-    symbol = 1.0 / (1.0 + theta_dt * float(np.mean(a)) * k_sq)
-    multipliers = np.stack([symbol, -k_sq * symbol])
+    a = np.stack([problem.diffusivity(t) for problem in problems])
+    fibers = [problem.operator.at(t) for problem in problems]
+    symbol = 1.0 / (1.0 + theta_dt * np.mean(a, axis=_BATCH_AXES)[:, None, None, None] * k_sq)
+    multipliers = np.stack([symbol, -k_sq * symbol], axis=1)
 
-    def precondition_apply(v):
-        z, lap = grid_ifft(multipliers * grid_fft(v.reshape(shape)), axes=_BATCH_AXES).real
-        az = z + theta_dt * (-a * lap + problem.operator.apply(z, t))
-        return z.reshape(-1), az.reshape(-1)
+    def precondition_apply(rows, v):
+        spectra = grid_fft(v.reshape((len(rows),) + grid.shape), axes=_BATCH_AXES)
+        z, lap = grid_ifft(multipliers[rows] * spectra[:, None], axes=(2, 3, 4)).real.swapaxes(0, 1)
+        az = z + theta_dt * (-a[rows] * lap + np.stack([fibers[p](zp) for p, zp in zip(rows, z)]))
+        return z.reshape(len(rows), -1), az.reshape(len(rows), -1)
 
-    gw = None  # G_t w of the last residual check; its w is the one _gmres returns
+    gw = np.zeros(rhs.shape)  # G_t w of each row's last residual check, on the w _gmres returns
 
-    def residual(x):
-        nonlocal gw
-        w = x.reshape(shape)
-        gw = _spatial_operator(problem, a, w, t)
-        return b - (w + theta_dt * gw).reshape(-1)
+    def residual(rows, x):
+        w = x.reshape((len(rows),) + grid.shape)
+        gw[rows] = _spatial_operator(grid, a[rows], [fibers[p] for p in rows], w)
+        return b[rows] - (w + theta_dt * gw[rows]).reshape(len(rows), -1)
 
-    if x0 is None:
-        x, r = np.zeros(b.size), b
-    else:
-        x = np.asarray(x0, dtype=np.float64).reshape(-1)
-        r = residual(x)
+    x, r = np.zeros(b.shape), b.copy()
+    if x0 is not None:
+        rows = np.flatnonzero(bnorm > 0.0)
+        x[rows] = np.asarray(x0, dtype=np.float64).reshape(b.shape)[rows]
+        r[rows] = residual(rows, x[rows])
     x, resid, iterations = _gmres(precondition_apply, residual, x, r, STEP_GMRES_RTOL * bnorm)
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite implicit step solution at t = {t:.6g}")
-    if not resid <= STEP_GMRES_RTOL * bnorm:  # NaN fails too
-        raise ConvergenceFailure("implicit step solve failed", iterations=iterations,
-                                 residual=resid / bnorm)
-    return x.reshape(shape), gw
+    missed = np.flatnonzero(~(resid <= STEP_GMRES_RTOL * bnorm))  # NaN misses too
+    if missed.size:
+        p = missed[0]
+        raise ConvergenceFailure("implicit step solve failed", iterations=int(iterations[p]),
+                                 residual=float(resid[p] / bnorm[p]))
+    return x.reshape(rhs.shape), gw
 
 
 @dataclass
@@ -371,11 +430,13 @@ class SolutionRecord:
     states: np.ndarray  # shape (steps+1, n, n, n)
 
 
-def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
-          x0_mode: str = "zero") -> SolutionRecord:
-    """March the implicit scheme over the uniform time grid; each step's
-    GMRES starts from zero, or (x0_mode = "random") from a seeded random
-    vector.
+def solve_batch(problems: list, scheme: str = "crank_nicolson",
+                x0_mode: str = "zero") -> list:
+    """March the implicit scheme over the uniform time grid for every problem
+    of a batch at once, one SolutionRecord each; the problems share grid,
+    horizon and steps, and each step solves all of them in one `_step_solve`.
+    Each step's GMRES starts from zero, or (x0_mode = "random") from one
+    seeded random vector per problem, row p of that step's draw.
 
     backward_euler:  (I + dt G_{t+}) w+ = w + dt f(t+)
     crank_nicolson:  (I + dt/2 G_{t+}) w+ = w - dt/2 G_t w + dt/2 (f_t + f_{t+})
@@ -386,29 +447,46 @@ def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
         raise ValueError(f"unknown scheme {scheme!r}")
     if x0_mode not in ("zero", "random"):
         raise ValueError(f"unknown x0_mode {x0_mode!r}")
-    delta = problem.min_diffusivity()
-    if not delta > 0:  # NaN fails too
-        raise NonPositiveDiffusivity(f"min A = {delta:.3e}")
+    first = problems[0]
+    if any((p.grid, p.horizon, p.steps) != (first.grid, first.horizon, first.steps)
+           for p in problems):
+        raise ValueError("the problems of a batch must share grid, horizon and steps")
+    for problem in problems:
+        delta = problem.min_diffusivity()
+        if not delta > 0:  # NaN fails too
+            raise NonPositiveDiffusivity(f"min A = {delta:.3e}")
 
-    dt = problem.dt()
-    times = problem.times()
-    states = np.empty((problem.steps + 1,) + problem.grid.shape)
-    states[0] = problem.initial.values
+    grid = first.grid
+    dt = first.dt()
+    times = first.times()
+    states = np.empty((len(problems), first.steps + 1) + grid.shape)
+    states[:, 0] = [problem.initial.values for problem in problems]
     theta = 1.0 if scheme == "backward_euler" else 0.5
 
+    def force(t):
+        return np.stack([problem.force(t) for problem in problems])
+
     rng = np.random.default_rng(99)
-    for k in range(problem.steps):
+    for k in range(first.steps):
         t0, t1 = times[k], times[k + 1]
-        w = states[k]
+        w = states[:, k]
         if scheme == "backward_euler":
-            rhs = w + dt * problem.force(t1)
+            rhs = w + dt * force(t1)
         else:
             if k == 0:
-                gw = _spatial_operator(problem, problem.diffusivity(t0), w, t0)
-            rhs = w - 0.5 * dt * gw + 0.5 * dt * (problem.force(t0) + problem.force(t1))
-        x0 = rng.standard_normal(problem.grid.num_points) if x0_mode == "random" else None
-        states[k + 1], gw = _step_solve(problem, theta * dt, t1, rhs, x0)
-    return SolutionRecord(times, states)
+                gw = _spatial_operator(grid, np.stack([p.diffusivity(t0) for p in problems]),
+                                       [p.operator.at(t0) for p in problems], w)
+            rhs = w - 0.5 * dt * gw + 0.5 * dt * (force(t0) + force(t1))
+        x0 = (rng.standard_normal((len(problems), grid.num_points))
+              if x0_mode == "random" else None)
+        states[:, k + 1], gw = _step_solve(problems, theta * dt, t1, rhs, x0)
+    return [SolutionRecord(times, s) for s in states]
+
+
+def solve(problem: ParabolicProblem, scheme: str = "crank_nicolson",
+          x0_mode: str = "zero") -> SolutionRecord:
+    """`solve_batch` of the one problem."""
+    return solve_batch([problem], scheme, x0_mode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,48 +516,64 @@ def _targeted_probes(problem: ParabolicProblem, t: float):
     return [w for w in out if np.abs(w).max() > 1e-14]
 
 
+@lru_cache(maxsize=None)
+def _garding_draw(n: int, length: float, probes: int, seed: int) -> tuple:
+    """The seeded random probes of `garding_constants` on one grid,
+    alternately smooth and full-band, with their `_gradients`, ||w||_H1^2 and
+    |w|_2^2: (w, dw, h1_sq, l2_sq), built once and read-only."""
+    grid = TorusGrid(n, length)
+    # gradient cross terms make the deficit grow with frequency, and
+    # solutions populate the whole band
+    w = _band_limited_batch(grid, np.random.default_rng(seed),
+                            [n // 4 if k % 2 == 0 else n // 2 for k in range(probes)])
+    # a compact copy: the gradients are the real view of a complex array
+    # twice their size, which the cache would otherwise hold for good
+    dw = np.ascontiguousarray(_gradients(grid, w))
+    return tuple(_freeze(v) for v in (w, dw, _h1_norms_sq(grid, w, dw), _integrals(grid, w ** 2)))
+
+
 def garding_constants(problem: ParabolicProblem, probes: int = 60,
                       seed: int = 1199) -> GardingReport:
     """Sampled constants for A_t(w,w) >= (delta/2) ||w||_H1^2 - kappa |w|_2^2.
 
     delta is fixed to twice the uniform lower bound of the diffusivity; kappa
     is the maximal deficit over probe fields and sampled times (a lower-bound
-    style estimate, reported with the probe count).  Probes mix smooth and
-    full-band random fields with primitive-targeted adversarial fields.
+    style estimate, reported with the probe count).  Probes mix the random
+    ones of `_garding_draw` with primitive-targeted adversarial fields.
 
     The bilinear form is A_t(w, w) = int A |grad w|^2 + w grad A . grad w
-    + w L[w] dvol.  The probes and the diffusivity at each sampled time are
-    differentiated together, in one batched forward and one batched inverse
-    transform; each probe's gradient serves both it and ||w||_H1.
+    + w L[w] dvol.  The targeted probes and the diffusivity at each sampled
+    time are differentiated together, in one batched forward and one batched
+    inverse transform; each probe's gradient serves both it and ||w||_H1.
     """
     delta = 2.0 * problem.min_diffusivity()
     if not delta > 0:  # NaN fails too
         raise NonPositiveDiffusivity("diffusivity lower bound is not positive")
-    rng = np.random.default_rng(seed)
     grid = problem.grid
     times = problem.times()
-    samples = [(w, float(t)) for t in times[:: max(1, len(times) // 4)]
-               for w in _targeted_probes(problem, float(t))]
-    # alternate smooth and full-band probes: gradient cross terms make the
-    # deficit grow with frequency, and solutions populate the whole band
-    drawn = _band_limited_batch(grid, rng, [grid.n // 4 if k % 2 == 0 else grid.n // 2
-                                            for k in range(probes)])
-    samples += [(w, float(times[k % len(times)])) for k, w in enumerate(drawn)]
-    w = np.stack([v for v, _t in samples])
-    at = [t for _v, t in samples]
+    targeted = [(w, float(t)) for t in times[:: max(1, len(times) // 4)]
+                for w in _targeted_probes(problem, float(t))]
+    drawn, d_drawn, h1_drawn, l2_drawn = _garding_draw(grid.n, grid.length, probes, seed)
+    w_targeted = np.stack([v for v, _t in targeted])
+    w = np.concatenate([w_targeted, drawn])
+    at = [t for _v, t in targeted] + [float(times[k % len(times)]) for k in range(probes)]
     slot = {}  # sampled time -> its row in the diffusivity stack
     rows = [slot.setdefault(t, len(slot)) for t in at]
     a = np.stack([problem.diffusivity(t) for t in slot])
-    grads = _gradients(grid, np.concatenate([w, a]))
-    dw, da = grads[:len(w)], grads[len(w):][rows]
+    fibers = {t: problem.operator.at(t) for t in slot}
+    grads = _gradients(grid, np.concatenate([w_targeted, a]))
+    dw_targeted = grads[:len(targeted)]
+    dw, da = np.concatenate([dw_targeted, d_drawn]), grads[len(targeted):][rows]
     a = a[rows]
     quad = a * (dw[:, 0] ** 2 + dw[:, 1] ** 2 + dw[:, 2] ** 2)
     cross = w * (da[:, 0] * dw[:, 0] + da[:, 1] * dw[:, 1] + da[:, 2] * dw[:, 2])
-    nonlocal_term = w * np.stack([problem.operator.apply(v, t) for v, t in zip(w, at)])
-    deficit = 0.5 * delta * _h1_norms_sq(grid, w, dw) - _integrals(grid, quad + cross + nonlocal_term)
-    ratios = deficit / np.maximum(_integrals(grid, w ** 2), 1e-300)
+    nonlocal_term = w * np.stack([fibers[t](v) for v, t in zip(w, at)])
+    h1 = np.concatenate([_h1_norms_sq(grid, w_targeted, dw_targeted), h1_drawn])
+    l2 = np.concatenate([_integrals(grid, w_targeted ** 2), l2_drawn])
+    deficit = 0.5 * delta * h1 - _integrals(grid, quad + cross + nonlocal_term)
+    ratios = deficit / np.maximum(l2, 1e-300)
     kappa = max([1e-12, *ratios.tolist()])
-    return GardingReport(delta, kappa, len(samples))
+    return GardingReport(delta, kappa, len(at))
 
 
 @dataclass

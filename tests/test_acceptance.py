@@ -45,6 +45,7 @@ from edtorus.parabolic import (
     mean_operator,
     random_band_limited,
     solve,
+    solve_batch,
     uniqueness_check,
     zero_operator,
 )
@@ -237,7 +238,7 @@ def test_criterion_09_nonlocal_parabolic():
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
 
     rng = np.random.default_rng(4242)
-    sweep = 0
+    problems = []
     for _ in range(20):
         base = random_band_limited(grid, rng)
         amp = 0.3 * rng.uniform(0.3, 1.0)
@@ -247,13 +248,15 @@ def test_criterion_09_nonlocal_parabolic():
             Multiply(constant_provider(0.5 * random_band_limited(grid, rng))),
         ])
         f_field = random_band_limited(grid, rng)
-        prob = ParabolicProblem(grid,
-                                lambda t, b=base, a=amp: 1.0 + a * b * np.cos(t), op,
-                                lambda t, ff=f_field: np.cos(2 * t) * ff,
-                                scalar_field(grid, 0.5 * random_band_limited(grid, rng)),
-                                1.0, 32)
+        problems.append(ParabolicProblem(grid,
+                                         lambda t, b=base, a=amp: 1.0 + a * b * np.cos(t), op,
+                                         lambda t, ff=f_field: np.cos(2 * t) * ff,
+                                         scalar_field(grid, 0.5 * random_band_limited(grid, rng)),
+                                         1.0, 32))
+    sweep = 0
+    for prob, sol in zip(problems, solve_batch(problems)):
         gr = garding_constants(prob, probes=40)
-        rep = energy_estimate_check(prob, solve(prob), gr.kappa + 0.75, garding=gr)
+        rep = energy_estimate_check(prob, sol, gr.kappa + 0.75, garding=gr)
         sweep += rep.ok
 
     a2 = check_axioms(mop, trials=60).a2_violation

@@ -36,6 +36,7 @@ from edtorus.parabolic import (
     mean_operator,
     random_band_limited,
     solve,
+    solve_batch,
     uniqueness_check,
     zero_operator,
 )
@@ -66,6 +67,23 @@ def composed_operator(grid, rng):
         RankOne(constant_provider(random_band_limited(grid, rng)),
                 constant_provider(random_band_limited(grid, rng))),
     ])
+
+
+def sweep_problem(grid, rng):
+    """One problem of the randomized energy-estimate sweep, drawn in its rng
+    order: variable A(x, t), a rank-one and a multiplication term, forcing
+    and initial datum."""
+    base = random_band_limited(grid, rng)
+    amp = 0.3 * rng.uniform(0.3, 1.0)
+    op = NonlocalOperator(grid, [
+        RankOne(constant_provider(random_band_limited(grid, rng)),
+                constant_provider(random_band_limited(grid, rng))),
+        Multiply(constant_provider(0.5 * random_band_limited(grid, rng))),
+    ])
+    f_field = random_band_limited(grid, rng)
+    w0 = scalar_field(grid, 0.5 * random_band_limited(grid, rng))
+    return ParabolicProblem(grid, lambda t, b=base, a=amp: 1.0 + a * b * np.cos(t), op,
+                            lambda t, ff=f_field: np.cos(2 * t) * ff, w0, 1.0, 32)
 
 
 class TestAxioms:
@@ -194,10 +212,11 @@ class TestSolve:
             solve(prob)
 
     @pytest.mark.parametrize("nan_step", [0, 2])
-    @pytest.mark.parametrize("call", ["backward_euler", "crank_nicolson", "garding"])
+    @pytest.mark.parametrize("call", ["backward_euler", "crank_nicolson", "garding", "batch"])
     def test_nan_diffusivity_is_nonpositive(self, grid, ones, nan_step, call):
         # A holds one NaN point at a single sampled time; the time grid is
-        # k / 4, so step 2 is t = 0.5
+        # k / 4, so step 2 is t = 0.5.  "batch" marches it second of three
+        # problems, the other two sound
         def diffusivity(t):
             a = ones.copy()
             if t == nan_step / 4:
@@ -206,16 +225,79 @@ class TestSolve:
 
         prob = ParabolicProblem(grid, diffusivity, mean_operator(grid), None,
                                 constant_field(grid, 1.0), 1.0, 4)
+        sound = ParabolicProblem(grid, constant_provider(ones), mean_operator(grid), None,
+                                 constant_field(grid, 1.0), 1.0, 4)
         with pytest.raises(NonPositiveDiffusivity):
-            garding_constants(prob) if call == "garding" else solve(prob, call)
+            if call == "garding":
+                garding_constants(prob)
+            elif call == "batch":
+                solve_batch([sound, prob, sound])
+            else:
+                solve(prob, call)
 
-    @pytest.mark.parametrize("scheme", ["backward_euler", "crank_nicolson"])
-    def test_non_finite_forcing_is_typed(self, grid, ones, scheme):
+    @pytest.mark.parametrize("call", ["backward_euler", "crank_nicolson", "batch"])
+    def test_non_finite_forcing_is_typed(self, grid, ones, call):
+        # "batch" marches the bad problem second of three, the other two sound
         nan = np.full(grid.shape, np.nan)
         prob = ParabolicProblem(grid, constant_provider(ones), mean_operator(grid),
                                 constant_provider(nan), constant_field(grid, 1.0), 1.0, 4)
+        sound = ParabolicProblem(grid, constant_provider(ones), mean_operator(grid),
+                                 None, constant_field(grid, 1.0), 1.0, 4)
         with pytest.raises(NonFiniteState):
-            solve(prob, scheme)
+            solve_batch([sound, prob, sound]) if call == "batch" else solve(prob, call)
+
+
+def step_solve_residuals(monkeypatch):
+    """Record |rhs - (w + theta dt G w)| and |rhs| of every row of every
+    `_step_solve` call from here on, one array pair per call."""
+    records = []
+    step_solve = parabolic._step_solve
+
+    def recorded(problems, theta_dt, t, rhs, x0):
+        w, gw = step_solve(problems, theta_dt, t, rhs, x0)
+        flat = len(problems), -1
+        records.append((np.linalg.norm((rhs - (w + theta_dt * gw)).reshape(flat), axis=1),
+                        np.linalg.norm(rhs.reshape(flat), axis=1)))
+        return w, gw
+
+    monkeypatch.setattr(parabolic, "_step_solve", recorded)
+    return records
+
+
+class TestSolveBatch:
+    def test_rows_match_single_solves(self, grid, ones, rng, monkeypatch):
+        """A mean-operator problem (2 GMRES iterations a step) and three sweep
+        problems (about 8) marched together: the rows leave the iteration at
+        different points, each row's states are those of its own `solve`,
+        and every step of every row meets STEP_GMRES_RTOL."""
+        mean = ParabolicProblem(grid, constant_provider(ones), mean_operator(grid), None,
+                                field_from_function(grid, lambda x, y, z: 1 + 0.2 * np.cos(y)),
+                                1.0, 32)
+        problems = [mean] + [sweep_problem(grid, rng) for _ in range(3)]
+        alone = [solve(prob) for prob in problems]
+        iterations = recorded_gmres_iterations(monkeypatch)
+        residuals = step_solve_residuals(monkeypatch)
+        batch = solve_batch(problems)
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got.times, want.times)
+            assert np.abs(got.states - want.states).max() <= 1e-12 * np.abs(want.states).max()
+        its = np.array(iterations)
+        assert its.shape == (32, 4)
+        assert np.all(its[:, 0] == 2) and np.all(its[:, 1:] >= 6)
+        assert len(residuals) == 32
+        for resid, rhs in residuals:
+            assert np.all(resid <= STEP_GMRES_RTOL * rhs)
+
+    @pytest.mark.parametrize("differs", ["grid", "steps", "horizon"])
+    def test_problems_must_share_grid_and_time_grid(self, grid, ones, differs):
+        def problem(g=grid, steps=4, horizon=1.0):
+            return ParabolicProblem(g, constant_provider(np.ones(g.shape)), zero_operator(g),
+                                    None, constant_field(g, 1.0), horizon, steps)
+
+        other = {"grid": problem(g=TorusGrid(4)), "steps": problem(steps=8),
+                 "horizon": problem(horizon=0.5)}[differs]
+        with pytest.raises(ValueError):
+            solve_batch([problem(), other])
 
 
 def counted_transforms(monkeypatch):
@@ -270,30 +352,37 @@ class TestStepSolve:
         prob, rhs = step_problem
         g, a = prob.grid, prob.diffusivity(self.T)
         eye = np.eye(g.num_points)
+        fiber = prob.operator.at(self.T)
         dense = eye + self.THETA_DT * np.column_stack(
-            [_spatial_operator(prob, a, e.reshape(g.shape), self.T).reshape(-1) for e in eye])
+            [_spatial_operator(g, a, [fiber], e.reshape((1,) + g.shape)).reshape(-1) for e in eye])
         expect = np.linalg.solve(dense, rhs.reshape(-1)).reshape(g.shape)
-        got, g_got = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        (got,), (g_got,) = _step_solve([prob], self.THETA_DT, self.T, rhs[None], None)
         assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
-        assert np.array_equal(g_got, _spatial_operator(prob, a, got, self.T))
+        assert np.array_equal(g_got, _spatial_operator(g, a, [fiber], got[None])[0])
         resid = rhs - (got + self.THETA_DT * g_got)
         assert np.linalg.norm(resid) <= STEP_GMRES_RTOL * np.linalg.norm(rhs)
 
     def test_random_start_same_solution(self, step_problem, rng):
         prob, rhs = step_problem
-        zero, _ = _step_solve(prob, self.THETA_DT, self.T, rhs, None)
-        x0 = rng.standard_normal(prob.grid.num_points)
-        started, _ = _step_solve(prob, self.THETA_DT, self.T, rhs, x0)
+        (zero,), _ = _step_solve([prob], self.THETA_DT, self.T, rhs[None], None)
+        x0 = rng.standard_normal((1, prob.grid.num_points))
+        (started,), _ = _step_solve([prob], self.THETA_DT, self.T, rhs[None], x0)
         assert np.abs(started - zero).max() <= 1e-12 * np.abs(zero).max()
 
     def test_exhausted_cycles_raise(self, step_problem, monkeypatch):
+        """Alone, and in a batch after a constant-diffusivity heat step, which
+        the exact preconditioner solves in its one iteration."""
         prob, rhs = step_problem
+        g = prob.grid
+        heat = ParabolicProblem(g, constant_provider(np.ones(g.shape)), zero_operator(g), None,
+                                constant_field(g, 1.0), 1.0, 4)
         monkeypatch.setattr(parabolic, "STEP_GMRES_RESTART", 1)
         monkeypatch.setattr(parabolic, "STEP_GMRES_MAXITER", 1)
-        with pytest.raises(ConvergenceFailure) as err:
-            _step_solve(prob, self.THETA_DT, self.T, rhs, None)
-        assert np.isfinite(err.value.residual) and err.value.residual > STEP_GMRES_RTOL
-        assert err.value.iterations == 1
+        for problems in ([prob], [heat, prob]):
+            with pytest.raises(ConvergenceFailure) as err:
+                _step_solve(problems, self.THETA_DT, self.T, np.stack([rhs] * len(problems)), None)
+            assert np.isfinite(err.value.residual) and err.value.residual > STEP_GMRES_RTOL
+            assert err.value.iterations == 1
 
     def test_fft_count(self, step_problem, monkeypatch):
         """One forward transform and one batched inverse per GMRES
@@ -302,7 +391,7 @@ class TestStepSolve:
         prob, rhs = step_problem
         iterations = recorded_gmres_iterations(monkeypatch)
         calls = counted_transforms(monkeypatch)
-        _step_solve(prob, self.THETA_DT, self.T, rhs, None)
+        _step_solve([prob], self.THETA_DT, self.T, rhs[None], None)
         its = iterations[0]
         assert its >= 3
         assert calls.count("fftn") == its + 1 and calls.count("ifftn") == its + 1
@@ -383,9 +472,12 @@ class TestGarding:
         assert rep.kappa == pytest.approx(kappa, rel=1e-14, abs=0.0)
 
     def test_fft_count(self, grid, ones, monkeypatch):
-        """Three batched transforms, whatever the probe count: one inverse
-        draws the random probes, one forward and one inverse give the
-        gradients of every probe and of A at every sampled time."""
+        """Batched transforms, whatever the probe count: the first call for a
+        (n, length, probes, seed) draws the random probes (one inverse) and
+        differentiates them (one forward, one inverse), and every call gives
+        the gradients of the targeted probes and of A at every sampled time
+        from one forward and one inverse.  The cached draw is read-only."""
+        parabolic._garding_draw.cache_clear()
         calls = counted_transforms(monkeypatch)
         # steps = 2: times 0, 1/2, 1, every one sampled by the targeted probes
         # (1, K, h, K + h, K - h of the mean operator's rank-one term) and by
@@ -397,7 +489,12 @@ class TestGarding:
             calls.clear()
             rep = garding_constants(prob, probes=probes)
             assert rep.probes == probes + targeted_per_time * times
-            assert calls == ["ifftn", "fftn", "ifftn"]
+            assert calls == ["ifftn", "fftn", "ifftn", "fftn", "ifftn"]
+            calls.clear()
+            assert garding_constants(prob, probes=probes) == rep
+            assert calls == ["fftn", "ifftn"]
+            drawn = parabolic._garding_draw(grid.n, grid.length, probes, 1199)
+            assert len(drawn) == 4 and not any(v.flags.writeable for v in drawn)
 
 
 class TestEnergyEstimate:
@@ -417,22 +514,9 @@ class TestEnergyEstimate:
         assert rep.ok and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_randomized_sweep(self, grid, rng):
+        problems = [sweep_problem(grid, rng) for _ in range(20)]
         n_pass = 0
-        for _ in range(20):
-            base = random_band_limited(grid, rng)
-            amp = 0.3 * rng.uniform(0.3, 1.0)
-            a_fun = (lambda t, b=base, a=amp: 1.0 + a * b * np.cos(t))
-            op = NonlocalOperator(grid, [
-                RankOne(constant_provider(random_band_limited(grid, rng)),
-                        constant_provider(random_band_limited(grid, rng))),
-                Multiply(constant_provider(0.5 * random_band_limited(grid, rng))),
-            ])
-            f_field = random_band_limited(grid, rng)
-            w0 = scalar_field(grid, 0.5 * random_band_limited(grid, rng))
-            prob = ParabolicProblem(grid, a_fun, op,
-                                    lambda t, ff=f_field: np.cos(2 * t) * ff,
-                                    w0, 1.0, 32)
-            sol = solve(prob)
+        for prob, sol in zip(problems, solve_batch(problems)):
             gr = garding_constants(prob, probes=40)
             rep = energy_estimate_check(prob, sol, gr.kappa + 0.75, garding=gr)
             n_pass += rep.ok
