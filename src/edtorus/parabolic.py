@@ -56,9 +56,8 @@ class Multiply:
 
     coefficient: Provider
 
-    def at(self, grid: TorusGrid, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        a = self.coefficient(t)
-        return lambda w: a * w
+    def apply(self, grid: TorusGrid, w: np.ndarray, t: float) -> np.ndarray:
+        return self.coefficient(t) * w
 
     def bound_hint(self, grid: TorusGrid, t: float) -> float:
         return float(np.abs(self.coefficient(t)).max())
@@ -71,9 +70,8 @@ class RankOne:
     kernel: Provider
     emitter: Provider
 
-    def at(self, grid: TorusGrid, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        k, h = self.kernel(t), self.emitter(t)
-        return lambda w: integrate_values(grid, w * k) * h
+    def apply(self, grid: TorusGrid, w: np.ndarray, t: float) -> np.ndarray:
+        return integrate_values(grid, w * self.kernel(t)) * self.emitter(t)
 
     def bound_hint(self, grid: TorusGrid, t: float) -> float:
         knorm = np.sqrt(integrate_values(grid, self.kernel(t) ** 2))
@@ -90,8 +88,8 @@ class FiberLinear:
     fn: Callable[[np.ndarray, float], np.ndarray]
     bound: float = np.inf
 
-    def at(self, grid: TorusGrid, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda w: self.fn(w, t)
+    def apply(self, grid: TorusGrid, w: np.ndarray, t: float) -> np.ndarray:
+        return self.fn(w, t)
 
     def bound_hint(self, grid: TorusGrid, t: float) -> float:
         return self.bound
@@ -104,21 +102,11 @@ class NonlocalOperator:
     grid: TorusGrid
     terms: list = field(default_factory=list)
 
-    def at(self, t: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The fiber map w -> L[w](., t), every term's providers evaluated
-        once, for callers that apply L at one t many times."""
-        maps = [term.at(self.grid, t) for term in self.terms]
-
-        def apply(w: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(w, dtype=np.float64)
-            for term in maps:
-                out = out + term(w)
-            return out
-
-        return apply
-
     def apply(self, w: np.ndarray, t: float) -> np.ndarray:
-        return self.at(t)(w)
+        out = np.zeros_like(w, dtype=np.float64)
+        for term in self.terms:
+            out = out + term.apply(self.grid, w, t)
+        return out
 
     def bound_hint(self, t: float) -> float:
         return sum(term.bound_hint(self.grid, t) for term in self.terms)
@@ -257,15 +245,16 @@ class ParabolicProblem:
         return float(np.min([self.diffusivity(t).min() for t in self.times()]))
 
 
-def _spatial_operator(grid: TorusGrid, a: np.ndarray, fibers: list,
-                      w: np.ndarray) -> np.ndarray:
-    """G_t[w_p] = -A_p(.,t) Lap w_p + L_p[w_p](.,t) of each field of a stack w
-    (P, n, n, n), given a, the A_p(.,t) stacked, and fibers, the L_p at t
-    (`NonlocalOperator.at`), on raw values: the flat Laplacian is the
-    multiplier -|kappa|^2, one batched transform pair for the stack."""
+def _spatial_operator(problems: list, a: np.ndarray, w: np.ndarray,
+                      t: float) -> np.ndarray:
+    """G^p_t[w_p] = -A_p(.,t) Lap w_p + L_p[w_p](.,t) of each field of a stack
+    w (P, n, n, n), row p belonging to problems[p], given a, the A_p(.,t)
+    stacked, on raw values: the flat Laplacian is the multiplier -|kappa|^2,
+    one batched transform pair for the stack."""
+    grid = problems[0].grid
     k_sq = scalar_symbols(grid.n, grid.length).k_sq
     lap = grid_ifft(-k_sq * grid_fft(w, axes=_BATCH_AXES), axes=_BATCH_AXES).real
-    return -a * lap + np.stack([fiber(v) for fiber, v in zip(fibers, w)])
+    return -a * lap + np.stack([prob.operator.apply(v, t) for prob, v in zip(problems, w)])
 
 
 #: GMRES settings of the implicit step, and the relative true residual
@@ -273,6 +262,9 @@ def _spatial_operator(grid: TorusGrid, a: np.ndarray, fibers: list,
 STEP_GMRES_RTOL = 1e-13
 STEP_GMRES_RESTART = 60
 STEP_GMRES_MAXITER = 40
+#: the Krylov buffers of a GMRES cycle grow by this many columns: a sweep
+#: step takes about 8 iterations, a constant-coefficient step 1 or 2
+STEP_GMRES_CHUNK = 8
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -331,11 +323,14 @@ def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
     rotations on Python floats (`_Arnoldi`) give its least-squares residual,
     and the row leaves the cycle once that is <= tol, with x + sum_j y_j z_j
     as its solution.  The Krylov columns of the rows still iterating are
-    stacked and grow by one per iteration.  Once every row of a cycle has
-    left, their true residuals are recomputed in one call, and a row stops
-    once that residual is <= tol or not finite, or after STEP_GMRES_MAXITER
-    cycles.  Returns (x, |r|, iterations), one entry per row."""
+    stacked in buffers that grow by STEP_GMRES_CHUNK columns when full.  Once
+    every row of a cycle has left, their true residuals are recomputed in one
+    call, and a row stops once that residual is <= tol or not finite, or
+    after STEP_GMRES_MAXITER cycles.  Returns (x, |r|, iterations), one entry
+    per row."""
+    n = x.shape[1]
     beta = _norms(r)
+    tols = tol.tolist()
     iterations = np.zeros(len(x), dtype=np.int64)
     for _cycle in range(STEP_GMRES_MAXITER):
         rows = np.flatnonzero((tol < beta) & (beta < math.inf))
@@ -343,27 +338,31 @@ def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
             break
         live = rows  # the cycle's rows still iterating
         arnoldi = {p: _Arnoldi([float(beta[p])]) for p in rows.tolist()}
-        basis = (r[rows] * (1.0 / beta[rows])[:, None])[:, None]
-        zs = np.empty((rows.size, 0, x.shape[1]))
+        basis = np.empty((rows.size, STEP_GMRES_CHUNK + 1, n))
+        zs = np.empty((rows.size, STEP_GMRES_CHUNK, n))
+        np.multiply(r[rows], (1.0 / beta[rows])[:, None], out=basis[:, 0])
         for j in range(STEP_GMRES_RESTART):
-            z, w = precondition_apply(live, basis[:, j])
-            zs = np.concatenate([zs, z[:, None]], axis=1)
-            h = np.matmul(basis, w[:, :, None])
-            w -= np.matmul(h.swapaxes(1, 2), basis)[:, 0]
-            h2 = np.matmul(basis, w[:, :, None])
-            w -= np.matmul(h2.swapaxes(1, 2), basis)[:, 0]
+            if j == zs.shape[1]:
+                basis, zs = (np.concatenate([v, np.empty((live.size, STEP_GMRES_CHUNK, n))],
+                                            axis=1) for v in (basis, zs))
+            zs[:, j], w = precondition_apply(live, basis[:, j])
+            prev = basis[:, :j + 1]
+            h = np.matmul(prev, w[:, :, None])
+            w -= np.matmul(h.swapaxes(1, 2), prev)[:, 0]
+            h2 = np.matmul(prev, w[:, :, None])
+            w -= np.matmul(h2.swapaxes(1, 2), prev)[:, 0]
             h_next = _norms(w)
             hessenberg = zip(live.tolist(), (h + h2)[:, :, 0].tolist(), h_next.tolist())
-            done = [arnoldi[p].add_column(col + [hn]) <= tol[p] or j + 1 == STEP_GMRES_RESTART
+            done = [arnoldi[p].add_column(col + [hn]) <= tols[p] or j + 1 == STEP_GMRES_RESTART
                     for p, col, hn in hessenberg]
             if any(done):
                 done = np.array(done)
                 y = np.array([arnoldi[p].coefficients() for p in live[done].tolist()])
-                x[live[done]] += np.matmul(y[:, None], zs[done])[:, 0]
+                x[live[done]] += np.matmul(y[:, None], zs[done, :j + 1])[:, 0]
                 live, basis, zs, w, h_next = (v[~done] for v in (live, basis, zs, w, h_next))
                 if not live.size:
                     break
-            basis = np.concatenate([basis, (w * (1.0 / h_next)[:, None])[:, None]], axis=1)
+            np.multiply(w, (1.0 / h_next)[:, None], out=basis[:, j + 1])
         iterations[rows] += [len(arnoldi[p].columns) for p in rows.tolist()]
         r[rows] = residual(rows, x[rows])
         beta[rows] = _norms(r[rows])
@@ -378,7 +377,7 @@ def _step_solve(problems: list, theta_dt: float, t: float, rhs: np.ndarray,
     (1 + theta_dt abar |kappa|^2), abar the problem's mean diffusivity.  A
     lockstep iteration transforms the iterating rows' v forward once and
     their (M v, Lap M v) back in one batched inverse; each problem's
-    diffusivity and operator are evaluated at t once.  Returns the stacks
+    diffusivity is evaluated at t once.  Returns the stacks
     (w, G_t w) once every row's recomputed true residual is <= STEP_GMRES_RTOL
     |rhs_p|, G_t w being the application that residual check made on the
     returned w, and a row with a zero rhs returning zeros; else raises
@@ -391,22 +390,29 @@ def _step_solve(problems: list, theta_dt: float, t: float, rhs: np.ndarray,
     bnorm = _norms(b)
     k_sq = scalar_symbols(grid.n, grid.length).k_sq
     a = np.stack([problem.diffusivity(t) for problem in problems])
-    fibers = [problem.operator.at(t) for problem in problems]
-    symbol = 1.0 / (1.0 + theta_dt * np.mean(a, axis=_BATCH_AXES)[:, None, None, None] * k_sq)
+    abar = a.reshape(len(a), -1).mean(axis=1)
+    symbol = 1.0 / (1.0 + theta_dt * abar[:, None, None, None] * k_sq)
     multipliers = np.stack([symbol, -k_sq * symbol], axis=1)
+
+    def pick(stack, rows):  # rows of a stack, without a copy when they are all of them
+        return stack if len(rows) == len(stack) else stack[rows]
 
     def precondition_apply(rows, v):
         spectra = grid_fft(v.reshape((len(rows),) + grid.shape), axes=_BATCH_AXES)
-        z, lap = grid_ifft(multipliers[rows] * spectra[:, None], axes=(2, 3, 4)).real.swapaxes(0, 1)
-        az = z + theta_dt * (-a[rows] * lap + np.stack([fibers[p](zp) for p, zp in zip(rows, z)]))
+        z, lap = grid_ifft(pick(multipliers, rows) * spectra[:, None],
+                           axes=(2, 3, 4)).real.swapaxes(0, 1)
+        gz = -pick(a, rows) * lap
+        for i, p in enumerate(rows.tolist()):
+            gz[i] += problems[p].operator.apply(z[i], t)
+        az = z + theta_dt * gz
         return z.reshape(len(rows), -1), az.reshape(len(rows), -1)
 
     gw = np.zeros(rhs.shape)  # G_t w of each row's last residual check, on the w _gmres returns
 
     def residual(rows, x):
         w = x.reshape((len(rows),) + grid.shape)
-        gw[rows] = _spatial_operator(grid, a[rows], [fibers[p] for p in rows], w)
-        return b[rows] - (w + theta_dt * gw[rows]).reshape(len(rows), -1)
+        gw[rows] = _spatial_operator([problems[p] for p in rows.tolist()], pick(a, rows), w, t)
+        return pick(b, rows) - (w + theta_dt * gw[rows]).reshape(len(rows), -1)
 
     x, r = np.zeros(b.shape), b.copy()
     if x0 is not None:
@@ -466,7 +472,7 @@ def solve_batch(problems: list, scheme: str = "crank_nicolson",
     def force(t):
         return np.stack([problem.force(t) for problem in problems])
 
-    rng = np.random.default_rng(99)
+    rng = np.random.default_rng(99) if x0_mode == "random" else None
     for k in range(first.steps):
         t0, t1 = times[k], times[k + 1]
         w = states[:, k]
@@ -474,8 +480,8 @@ def solve_batch(problems: list, scheme: str = "crank_nicolson",
             rhs = w + dt * force(t1)
         else:
             if k == 0:
-                gw = _spatial_operator(grid, np.stack([p.diffusivity(t0) for p in problems]),
-                                       [p.operator.at(t0) for p in problems], w)
+                gw = _spatial_operator(problems, np.stack([p.diffusivity(t0) for p in problems]),
+                                       w, t0)
             rhs = w - 0.5 * dt * gw + 0.5 * dt * (force(t0) + force(t1))
         x0 = (rng.standard_normal((len(problems), grid.num_points))
               if x0_mode == "random" else None)
@@ -560,14 +566,13 @@ def garding_constants(problem: ParabolicProblem, probes: int = 60,
     slot = {}  # sampled time -> its row in the diffusivity stack
     rows = [slot.setdefault(t, len(slot)) for t in at]
     a = np.stack([problem.diffusivity(t) for t in slot])
-    fibers = {t: problem.operator.at(t) for t in slot}
     grads = _gradients(grid, np.concatenate([w_targeted, a]))
     dw_targeted = grads[:len(targeted)]
     dw, da = np.concatenate([dw_targeted, d_drawn]), grads[len(targeted):][rows]
     a = a[rows]
     quad = a * (dw[:, 0] ** 2 + dw[:, 1] ** 2 + dw[:, 2] ** 2)
     cross = w * (da[:, 0] * dw[:, 0] + da[:, 1] * dw[:, 1] + da[:, 2] * dw[:, 2])
-    nonlocal_term = w * np.stack([fibers[t](v) for v, t in zip(w, at)])
+    nonlocal_term = w * np.stack([problem.operator.apply(v, t) for v, t in zip(w, at)])
     h1 = np.concatenate([_h1_norms_sq(grid, w_targeted, dw_targeted), h1_drawn])
     l2 = np.concatenate([_integrals(grid, w_targeted ** 2), l2_drawn])
     deficit = 0.5 * delta * h1 - _integrals(grid, quad + cross + nonlocal_term)
