@@ -426,6 +426,7 @@ def cmd_perturb_validate(cfg: RunConfig) -> int:
 
 def cmd_parabolic_validate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
+    parabolic.reset_solver_stats()
     grid = TorusGrid(8)
     one = np.ones(grid.shape)
     x1, x2, x3 = grid.coords()
@@ -496,6 +497,7 @@ def cmd_parabolic_validate(cfg: RunConfig) -> int:
         "a2_violation": axioms.a2_violation,
         "uniqueness_diff": uniq,
         "pass": bool(ok),
+        "solver_stats": parabolic.solver_stats(),
     })
     print(f"parabolic-validate: CN order {cn_order:.3f}, sweep {sweep_pass}/{n_sweep}, pass={ok}")
     return EXIT_OK if ok else EXIT_VALIDATION_FAILED

@@ -13,8 +13,8 @@ from .fields import (
     ExponentTable,
     ScalarField,
     TorusGrid,
-    grid_fft,
-    grid_ifft,
+    grid_irfft,
+    grid_rfft,
     integrate_values,
     quadrature,
     require_positive,
@@ -26,14 +26,14 @@ from .fields import (
 def laplacian(f: ScalarField) -> ScalarField:
     """Flat Laplace-Beltrami operator, Fourier multiplier -|kappa|^2."""
     k_sq = scalar_symbols(f.grid.n, f.grid.length).k_sq
-    return scalar_field(f.grid, grid_ifft(-k_sq * grid_fft(f.values)).real)
+    return scalar_field(f.grid, grid_irfft(-k_sq * grid_rfft(f.values)))
 
 
 def gradient(f: ScalarField) -> np.ndarray:
     """Spectral gradient, shape (3, n, n, n): the Nyquist-dropped multipliers
     `ScalarSymbols.ik`, inverted in one batched transform."""
     ik = scalar_symbols(f.grid.n, f.grid.length).ik
-    return grid_ifft(ik * grid_fft(f.values), axes=(1, 2, 3)).real
+    return grid_irfft(ik * grid_rfft(f.values), axes=(1, 2, 3))
 
 
 def grad_dot(f: ScalarField, g: ScalarField) -> np.ndarray:

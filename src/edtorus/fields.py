@@ -203,8 +203,9 @@ SPINOR_GRID_AXES = (-4, -3, -2)
 
 
 def grid_fft(values: np.ndarray, axes=None) -> np.ndarray:
-    """Unnormalized forward DFT (the one FFT kernel), over all axes unless
-    `axes` names the grid axes of a spinor or batched array.
+    """Unnormalized forward DFT, over all axes unless `axes` names the grid
+    axes of a spinor or batched array (`grid_rfft` is its half for real
+    scalar fields).
 
     scipy.fft transforms all axes in one compiled call; numpy's fftn loops
     over them in Python, which dominates at desk grid sizes.  axes=None
@@ -219,10 +220,25 @@ def grid_ifft(values: np.ndarray, axes=None) -> np.ndarray:
     return scipy.fft.ifftn(values, axes=axes)
 
 
+def grid_rfft(values: np.ndarray, axes=None) -> np.ndarray:
+    """grid_fft of real scalar fields, on the half spectrum: the last grid
+    axis keeps its modes 0..n/2, the rest being their complex conjugates.
+    The multipliers of `ScalarSymbols` live on this half spectrum."""
+    return scipy.fft.rfftn(values, axes=axes)
+
+
+def grid_irfft(values: np.ndarray, axes=None) -> np.ndarray:
+    """Inverse of grid_rfft: the real fields of a half spectrum (n even)."""
+    return scipy.fft.irfftn(values, axes=axes)
+
+
 @lru_cache(maxsize=None)
-def _integer_modes(n: int):
+def _integer_modes(n: int, half: bool = False):
+    """The integer modes of the grid_fft spectrum, or (half) of the
+    grid_rfft one, whose last axis holds 0..n/2."""
     k = np.fft.fftfreq(n, d=1.0 / n)  # exact integers [0..n/2-1, -n/2..-1]
-    kx, ky, kz = np.meshgrid(k, k, k, indexing="ij")
+    last = np.arange(n // 2 + 1.0) if half else k
+    kx, ky, kz = np.meshgrid(k, k, last, indexing="ij")
     return _freeze(kx), _freeze(ky), _freeze(kz)
 
 
@@ -243,14 +259,14 @@ def spinor_momentum(n: int, length: float, shift: tuple):
 
 @dataclass(frozen=True)
 class ScalarSymbols:
-    """Fourier multipliers of scalar fields, read-only.
+    """Fourier multipliers of real scalar fields on the grid_rfft half
+    spectrum, shape (n, n, n // 2 + 1), read-only.
 
     k_sq = |kappa|^2, so the flat Laplacian is -k_sq.  ik = (i kappa_1,
-    i kappa_2, i kappa_3) stacked on a leading axis, shape (3, n, n, n), the
-    gradient, with the unpaired Nyquist mode dropped: its exact derivative
-    aliases to zero on the grid, and dropping it keeps the discrete
-    integration-by-parts identity int u L_g u = c_m int |grad u|^2 exact for
-    band-limited fields.
+    i kappa_2, i kappa_3) stacked on a leading axis, the gradient, with the
+    unpaired Nyquist mode +-n/2 dropped: its exact derivative aliases to
+    zero on the grid, and dropping it keeps the discrete integration-by-parts
+    identity int u L_g u = c_m int |grad u|^2 exact for band-limited fields.
     """
 
     k_sq: np.ndarray
@@ -260,9 +276,9 @@ class ScalarSymbols:
 @lru_cache(maxsize=None)
 def scalar_symbols(n: int, length: float) -> ScalarSymbols:
     """The ScalarSymbols of one grid, built once."""
-    modes = _integer_modes(n)
+    modes = _integer_modes(n, half=True)
     k1, k2, k3 = ((TWO_PI / length) * m for m in modes)
-    ik = np.stack([1j * np.where(m == -(n // 2), 0.0, k) for m, k in zip(modes, (k1, k2, k3))])
+    ik = np.stack([1j * np.where(np.abs(m) == n // 2, 0.0, k) for m, k in zip(modes, (k1, k2, k3))])
     return ScalarSymbols(_freeze(k1 ** 2 + k2 ** 2 + k3 ** 2), _freeze(ik))
 
 

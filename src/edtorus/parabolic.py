@@ -23,8 +23,9 @@ from .fields import (
     TorusGrid,
     _freeze,
     _integer_modes,
-    grid_fft,
     grid_ifft,
+    grid_irfft,
+    grid_rfft,
     integrate_values,
     scalar_symbols,
 )
@@ -34,14 +35,25 @@ Provider = Callable[[float], np.ndarray]
 #: grid axes of a stack of scalar fields, (P, n, n, n)
 _BATCH_AXES = (1, 2, 3)
 
+#: process-local counts of implicit-step work, in report order (`solver_stats`)
+_STATS = dict.fromkeys(("step_solves", "gmres_iterations", "lockstep_iterations",
+                        "residual_checks"), 0)
+
+
+def solver_stats() -> dict:
+    """Implicit-step work in this process since `reset_solver_stats`: step
+    solves, GMRES iterations summed over rows, lockstep iterations (one batched
+    preconditioned application each) and true-residual checks; counts only."""
+    return dict(_STATS)
+
+
+def reset_solver_stats() -> None:
+    _STATS.update(dict.fromkeys(_STATS, 0))
+
 
 def constant_provider(values: np.ndarray) -> Provider:
     frozen = np.asarray(values, dtype=np.float64)
-
-    def provide(_t: float) -> np.ndarray:
-        return frozen
-
-    return provide
+    return lambda _t: frozen
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +115,8 @@ class NonlocalOperator:
     terms: list = field(default_factory=list)
 
     def apply(self, w: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros_like(w, dtype=np.float64)
-        for term in self.terms:
-            out = out + term.apply(self.grid, w, t)
-        return out
+        return sum((term.apply(self.grid, w, t) for term in self.terms),
+                   np.zeros_like(w, dtype=np.float64))
 
     def bound_hint(self, t: float) -> float:
         return sum(term.bound_hint(self.grid, t) for term in self.terms)
@@ -133,10 +143,8 @@ def _band_limited_batch(grid: TorusGrid, rng: np.random.Generator, max_modes) ->
     1), each with modes supported below its max_mode per axis and scaled to
     sup norm 1, shape (len(max_modes), n, n, n).  The draws are those of one
     field after another; one batched transform inverts them all."""
-    k1, k2, k3 = _integer_modes(grid.n)
     kmax = np.array([m if m is not None else max(1, grid.n // 4) for m in max_modes])
-    kmax = kmax[:, None, None, None]
-    mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax) & (np.abs(k3) <= kmax)
+    mask = np.all([np.abs(k) <= kmax[:, None, None, None] for k in _integer_modes(grid.n)], axis=0)
     draws = rng.standard_normal((len(max_modes), 2) + grid.shape)
     coeffs = np.where(mask, draws[:, 0] + 1j * draws[:, 1], 0.0)
     out = grid_ifft(coeffs * grid.num_points, axes=_BATCH_AXES).real
@@ -150,11 +158,10 @@ def random_band_limited(grid: TorusGrid, rng: np.random.Generator,
 
 
 def _gradients(grid: TorusGrid, w: np.ndarray) -> np.ndarray:
-    """Spectral gradients of a stack of fields (P, n, n, n), shape (P, 3, n,
-    n, n): `conformal.gradient` of each field, from one batched forward and
-    one batched inverse transform."""
+    """Spectral gradients (P, 3, n, n, n) of a stack of fields (P, n, n, n),
+    `conformal.gradient` of each, from one batched real transform pair."""
     ik = scalar_symbols(grid.n, grid.length).ik
-    return grid_ifft(ik * grid_fft(w, axes=_BATCH_AXES)[:, None], axes=(2, 3, 4)).real
+    return grid_irfft(ik * grid_rfft(w, axes=_BATCH_AXES)[:, None], axes=(2, 3, 4))
 
 
 def _integrals(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
@@ -167,36 +174,23 @@ def _h1_norms_sq(grid: TorusGrid, w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return _integrals(grid, w ** 2 + dw[:, 0] ** 2 + dw[:, 1] ** 2 + dw[:, 2] ** 2)
 
 
-def h1_norm_sq(grid: TorusGrid, w: np.ndarray) -> float:
-    stack = w[None]
-    return float(_h1_norms_sq(grid, stack, _gradients(grid, stack))[0])
-
-
 @dataclass
 class AxiomReport:
     a1_constant: float
     a2_violation: float
 
 
-def _probe_fields(grid: TorusGrid, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Random band-limited probes plus the constant and single-mode fields
-    that saturate rank-one and multiplication bounds, stacked."""
-    x1, x2, x3 = grid.coords()
-    scale = 2.0 * np.pi / grid.length
-    fixed = np.stack([np.ones(grid.shape), np.cos(scale * x1), np.sin(scale * x2)])
-    random = _band_limited_batch(grid, rng, [None] * max(trials - len(fixed), 0))
-    return np.concatenate([fixed, random])
-
-
 def check_axioms(op: NonlocalOperator, trials: int = 100) -> AxiomReport:
     """Probe (A1) |L[w](.,t)|_2 <= C ||w||_H1 and (A2) L[alpha w] = alpha(t) L[w],
     the probes taken at t = 0, 0.37 and 1 in turn."""
-    rng = np.random.default_rng(515)
-    grid = op.grid
-    probes = _probe_fields(grid, rng, trials)
+    rng, grid = np.random.default_rng(515), op.grid
+    # the constant and single-mode fields saturate rank-one and multiplication bounds
+    x1, x2, _x3 = grid.coords()
+    scale = 2.0 * np.pi / grid.length
+    fixed = np.stack([np.ones(grid.shape), np.cos(scale * x1), np.sin(scale * x2)])
+    probes = np.concatenate([fixed, _band_limited_batch(grid, rng, [None] * max(trials - 3, 0))])
     h1_series = np.sqrt(_h1_norms_sq(grid, probes, _gradients(grid, probes)))
-    a1 = 0.0
-    a2 = 0.0
+    a1 = a2 = 0.0
     for k, (w, h1) in enumerate(zip(probes, h1_series)):
         t = (0.0, 0.37, 1.0)[k % 3]
         lw = op.apply(w, t)
@@ -229,32 +223,68 @@ class ParabolicProblem:
         if self.initial.grid != self.grid:
             raise ValueError("initial datum lives on the wrong grid")
 
-    def dt(self) -> float:
-        return self.horizon / self.steps
-
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
     def force(self, t: float) -> np.ndarray:
-        if self.forcing is None:
-            return np.zeros(self.grid.shape)
-        return self.forcing(t)
+        return np.zeros(self.grid.shape) if self.forcing is None else self.forcing(t)
 
     def min_diffusivity(self) -> float:
         """min A over the sampled times; NaN if any sampled A holds a NaN."""
         return float(np.min([self.diffusivity(t).min() for t in self.times()]))
 
 
-def _spatial_operator(problems: list, a: np.ndarray, w: np.ndarray,
-                      t: float) -> np.ndarray:
-    """G^p_t[w_p] = -A_p(.,t) Lap w_p + L_p[w_p](.,t) of each field of a stack
-    w (P, n, n, n), row p belonging to problems[p], given a, the A_p(.,t)
-    stacked, on raw values: the flat Laplacian is the multiplier -|kappa|^2,
-    one batched transform pair for the stack."""
-    grid = problems[0].grid
-    k_sq = scalar_symbols(grid.n, grid.length).k_sq
-    lap = grid_ifft(-k_sq * grid_fft(w, axes=_BATCH_AXES), axes=_BATCH_AXES).real
-    return -a * lap + np.stack([prob.operator.apply(v, t) for prob, v in zip(problems, w)])
+def _pick(stack: np.ndarray, rows: Optional[np.ndarray]) -> np.ndarray:
+    """The rows `rows` of a stack (None: all), without a copy for all rows."""
+    return stack if rows is None or len(rows) == len(stack) else stack[rows]
+
+
+class _StackedOperator:
+    """The spatial operators G^p_t of a batch's problems at one time t,
+    evaluated once and stacked: the diffusivities a (P, n, n, n), each row's
+    summed Multiply coefficients (P, n^3) and RankOne kernels and emitters (P,
+    R, n^3), zero-padded to the largest count R, so that one multiply and two
+    batched matmuls apply them to any rows; other terms act through `apply`."""
+
+    def __init__(self, problems: list, t: float):
+        self.grid, self.t = problems[0].grid, t
+        self.a = np.stack([problem.diffusivity(t) for problem in problems])
+        terms = [problem.operator.terms for problem in problems]
+        rank_one = [[term for term in row if isinstance(term, RankOne)] for row in terms]
+        shape = (len(terms), max(map(len, rank_one)), self.grid.num_points)
+        self.kernels, self.emitters = np.zeros((2,) + shape)
+        self.multiply = np.zeros((len(terms), self.grid.num_points))
+        for p, row in enumerate(terms):
+            self.multiply[p] = sum(np.ravel(term.coefficient(t)) for term in row
+                                   if isinstance(term, Multiply))
+            for j, term in enumerate(rank_one[p]):  # kernels weighted for quadrature
+                self.kernels[p, j] = self.grid.cell_volume * np.ravel(term.kernel(t))
+                self.emitters[p, j] = np.ravel(term.emitter(t))
+        self.others = [[term for term in row if not isinstance(term, (Multiply, RankOne))]
+                       for row in terms]
+
+    def nonlocal_apply(self, w: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """L_p[w_i](., t) of each field w_i of a stack w (len(rows), ...), p =
+        rows[i] (rows None: every problem of the batch, in order)."""
+        flat = w.reshape(len(w), -1)
+        out = _pick(self.multiply, rows) * flat
+        if self.kernels.shape[1]:
+            integrals = np.matmul(_pick(self.kernels, rows), flat[:, :, None])
+            out += np.matmul(integrals.swapaxes(1, 2), _pick(self.emitters, rows))[:, 0]
+        for i, p in enumerate(range(len(w)) if rows is None else rows.tolist()):
+            for term in self.others[p]:
+                out[i] += term.apply(self.grid, w[i].reshape(self.grid.shape), self.t).reshape(-1)
+        return out.reshape(w.shape)
+
+
+def _spatial_operator(op: _StackedOperator, w: np.ndarray,
+                      rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """G^p_t[w_i] = -A_p(.,t) Lap w_i + L_p[w_i](.,t) of each field of a stack
+    w (len(rows), n, n, n), p = rows[i] of the batch `op` stacks (rows None:
+    all), the flat Laplacian -|kappa|^2 by one batched real transform pair."""
+    k_sq = scalar_symbols(op.grid.n, op.grid.length).k_sq
+    lap = grid_irfft(-k_sq * grid_rfft(w, axes=_BATCH_AXES), axes=_BATCH_AXES)
+    return -_pick(op.a, rows) * lap + op.nonlocal_apply(w, rows)
 
 
 #: GMRES settings of the implicit step, and the relative true residual
@@ -268,8 +298,7 @@ STEP_GMRES_CHUNK = 8
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of v (P, n), each from one BLAS dot product as
-    `np.linalg.norm` forms it for a single vector."""
+    """The 2-norm of each row of v (P, n), one BLAS dot product each."""
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
@@ -292,8 +321,7 @@ class _Arnoldi:
         rho = math.hypot(col[j], col[j + 1])
         c, s = col[j] / rho, col[j + 1] / rho
         self.rotations.append((c, s))
-        col[j] = rho
-        self.columns.append(col[:j + 1])
+        self.columns.append(col[:j] + [rho])
         self.g.append(-s * self.g[j])
         self.g[j] *= c
         return abs(self.g[j + 1])
@@ -311,23 +339,18 @@ class _Arnoldi:
 def _gmres(precondition_apply: Callable, residual: Callable, x: np.ndarray,
            r: np.ndarray, tol: np.ndarray):
     """Restarted right-preconditioned GMRES (Saad & Schultz 1986) for the
-    independent systems A_p x_p = b_p of a stack, x of shape (P, n), marched
-    in lockstep.
-
-    precondition_apply(rows, v) returns (z, A z) with z = M v for the rows
-    `rows` of the stack, v holding one vector per row; residual(rows, x)
-    returns b - A x for those rows, and r = b - A x on entry.  Each row runs
-    the one-system method against its own tol: a cycle of at most
-    STEP_GMRES_RESTART iterations orthogonalizes A z against the row's
-    Arnoldi basis by classical Gram-Schmidt, twice, through BLAS; Givens
-    rotations on Python floats (`_Arnoldi`) give its least-squares residual,
-    and the row leaves the cycle once that is <= tol, with x + sum_j y_j z_j
-    as its solution.  The Krylov columns of the rows still iterating are
-    stacked in buffers that grow by STEP_GMRES_CHUNK columns when full.  Once
-    every row of a cycle has left, their true residuals are recomputed in one
-    call, and a row stops once that residual is <= tol or not finite, or
-    after STEP_GMRES_MAXITER cycles.  Returns (x, |r|, iterations), one entry
-    per row."""
+    independent systems A_p x_p = b_p of a stack x (P, n), in lockstep:
+    precondition_apply(rows, v) returns (z = M v, A z) and residual(rows, x)
+    b - A x for the rows `rows`; r = b - A x on entry.  Each row runs the
+    one-system method against its own tol.  A cycle of at most
+    STEP_GMRES_RESTART iterations orthogonalizes A z against the row's basis
+    by classical Gram-Schmidt, twice, through BLAS, in buffers grown by
+    STEP_GMRES_CHUNK columns; Givens rotations on Python floats (`_Arnoldi`)
+    give its least-squares residual, and the row leaves the cycle once that is
+    <= tol, with x + sum_j y_j z_j.  Once a cycle's rows have all left, their
+    true residuals are recomputed in one call; a row stops once that is <= tol
+    or not finite, or after STEP_GMRES_MAXITER cycles.  Returns (x, |r|,
+    iterations), one per row."""
     n = x.shape[1]
     beta = _norms(r)
     tols = tol.tolist()
@@ -373,46 +396,42 @@ def _step_solve(problems: list, theta_dt: float, t: float, rhs: np.ndarray,
                 x0: Optional[np.ndarray]) -> tuple:
     """Solve (I + theta_dt G^p_t) w_p = rhs_p for every problem p of a batch,
     rhs of shape (P, n, n, n), by `_gmres` (x0 None: zero start, else one
-    start vector per row), each row right-preconditioned by its own M = 1 /
-    (1 + theta_dt abar |kappa|^2), abar the problem's mean diffusivity.  A
-    lockstep iteration transforms the iterating rows' v forward once and
-    their (M v, Lap M v) back in one batched inverse; each problem's
-    diffusivity is evaluated at t once.  Returns the stacks
-    (w, G_t w) once every row's recomputed true residual is <= STEP_GMRES_RTOL
-    |rhs_p|, G_t w being the application that residual check made on the
-    returned w, and a row with a zero rhs returning zeros; else raises
-    ConvergenceFailure with the iterations and residual of the first row
-    that missed.  A non-finite rhs or result raises NonFiniteState."""
+    start vector per row), each row right-preconditioned by M = 1 / (1 + c_p
+    |kappa|^2), c_p = theta_dt abar_p, abar_p its mean diffusivity.  As
+    |kappa|^2 M = (1 - M) / c_p, z = M v has Lap z = (z - v) / c_p, so A z =
+    z - (a_p / abar_p)(z - v) + theta_dt L_p z: a lockstep iteration is one
+    batched real forward transform, one inverse, and the `_StackedOperator`
+    built once a step.  Returns the stacks (w, G_t w) once every row's
+    recomputed true residual is <= STEP_GMRES_RTOL |rhs_p|, G_t w being the
+    application that check made on the returned w (a zero rhs gives zeros);
+    else raises ConvergenceFailure with the iterations and residual of the
+    first row that missed.  A non-finite rhs or result raises NonFiniteState."""
     if not np.all(np.isfinite(rhs)):
         raise NonFiniteState(f"non-finite implicit step right-hand side at t = {t:.6g}")
+    _STATS["step_solves"] += 1
     grid = problems[0].grid
     b = rhs.reshape(len(problems), -1)
     bnorm = _norms(b)
-    k_sq = scalar_symbols(grid.n, grid.length).k_sq
-    a = np.stack([problem.diffusivity(t) for problem in problems])
-    abar = a.reshape(len(a), -1).mean(axis=1)
-    symbol = 1.0 / (1.0 + theta_dt * abar[:, None, None, None] * k_sq)
-    multipliers = np.stack([symbol, -k_sq * symbol], axis=1)
-
-    def pick(stack, rows):  # rows of a stack, without a copy when they are all of them
-        return stack if len(rows) == len(stack) else stack[rows]
+    op = _StackedOperator(problems, t)
+    a = op.a.reshape(len(problems), -1)
+    abar = a.mean(axis=1)
+    symbol = 1.0 / (1.0 + theta_dt * abar[:, None, None, None]
+                    * scalar_symbols(grid.n, grid.length).k_sq)
+    ratio = a / abar[:, None]
 
     def precondition_apply(rows, v):
-        spectra = grid_fft(v.reshape((len(rows),) + grid.shape), axes=_BATCH_AXES)
-        z, lap = grid_ifft(pick(multipliers, rows) * spectra[:, None],
-                           axes=(2, 3, 4)).real.swapaxes(0, 1)
-        gz = -pick(a, rows) * lap
-        for i, p in enumerate(rows.tolist()):
-            gz[i] += problems[p].operator.apply(z[i], t)
-        az = z + theta_dt * gz
-        return z.reshape(len(rows), -1), az.reshape(len(rows), -1)
+        _STATS["lockstep_iterations"] += 1
+        spectra = grid_rfft(v.reshape((len(rows),) + grid.shape), axes=_BATCH_AXES)
+        z = grid_irfft(_pick(symbol, rows) * spectra, axes=_BATCH_AXES).reshape(len(rows), -1)
+        return z, z - _pick(ratio, rows) * (z - v) + theta_dt * op.nonlocal_apply(z, rows)
 
     gw = np.zeros(rhs.shape)  # G_t w of each row's last residual check, on the w _gmres returns
 
     def residual(rows, x):
+        _STATS["residual_checks"] += 1
         w = x.reshape((len(rows),) + grid.shape)
-        gw[rows] = _spatial_operator([problems[p] for p in rows.tolist()], pick(a, rows), w, t)
-        return pick(b, rows) - (w + theta_dt * gw[rows]).reshape(len(rows), -1)
+        gw[rows] = _spatial_operator(op, w, rows)
+        return _pick(b, rows) - (w + theta_dt * gw[rows]).reshape(len(rows), -1)
 
     x, r = np.zeros(b.shape), b.copy()
     if x0 is not None:
@@ -420,6 +439,7 @@ def _step_solve(problems: list, theta_dt: float, t: float, rhs: np.ndarray,
         x[rows] = np.asarray(x0, dtype=np.float64).reshape(b.shape)[rows]
         r[rows] = residual(rows, x[rows])
     x, resid, iterations = _gmres(precondition_apply, residual, x, r, STEP_GMRES_RTOL * bnorm)
+    _STATS["gmres_iterations"] += int(iterations.sum())
     if not np.all(np.isfinite(x)):
         raise NonFiniteState(f"non-finite implicit step solution at t = {t:.6g}")
     missed = np.flatnonzero(~(resid <= STEP_GMRES_RTOL * bnorm))  # NaN misses too
@@ -457,34 +477,27 @@ def solve_batch(problems: list, scheme: str = "crank_nicolson",
     if any((p.grid, p.horizon, p.steps) != (first.grid, first.horizon, first.steps)
            for p in problems):
         raise ValueError("the problems of a batch must share grid, horizon and steps")
-    for problem in problems:
-        delta = problem.min_diffusivity()
-        if not delta > 0:  # NaN fails too
-            raise NonPositiveDiffusivity(f"min A = {delta:.3e}")
+    delta = float(np.min([problem.min_diffusivity() for problem in problems]))
+    if not delta > 0:  # NaN fails too
+        raise NonPositiveDiffusivity(f"min A = {delta:.3e}")
 
-    grid = first.grid
-    dt = first.dt()
-    times = first.times()
+    grid, dt, times = first.grid, first.horizon / first.steps, first.times()
     states = np.empty((len(problems), first.steps + 1) + grid.shape)
     states[:, 0] = [problem.initial.values for problem in problems]
     theta = 1.0 if scheme == "backward_euler" else 0.5
 
-    def force(t):
-        return np.stack([problem.force(t) for problem in problems])
-
     rng = np.random.default_rng(99) if x0_mode == "random" else None
+    f1 = np.stack([problem.force(times[0]) for problem in problems])
     for k in range(first.steps):
         t0, t1 = times[k], times[k + 1]
-        w = states[:, k]
+        w, f0, f1 = states[:, k], f1, np.stack([problem.force(t1) for problem in problems])
         if scheme == "backward_euler":
-            rhs = w + dt * force(t1)
+            rhs = w + dt * f1
         else:
             if k == 0:
-                gw = _spatial_operator(problems, np.stack([p.diffusivity(t0) for p in problems]),
-                                       w, t0)
-            rhs = w - 0.5 * dt * gw + 0.5 * dt * (force(t0) + force(t1))
-        x0 = (rng.standard_normal((len(problems), grid.num_points))
-              if x0_mode == "random" else None)
+                gw = _spatial_operator(_StackedOperator(problems, t0), w)
+            rhs = w - 0.5 * dt * gw + 0.5 * dt * (f0 + f1)
+        x0 = None if rng is None else rng.standard_normal((len(problems), grid.num_points))
         states[:, k + 1], gw = _step_solve(problems, theta * dt, t1, rhs, x0)
     return [SolutionRecord(times, s) for s in states]
 
@@ -507,15 +520,13 @@ class GardingReport:
 
 
 def _targeted_probes(problem: ParabolicProblem, t: float):
-    """Adversarial probe fields aimed at the operator's own primitives.
-
-    Rank-one terms reach their worst deficit only on fields aligned with both
-    the kernel and the emitter, which random probes essentially never hit."""
+    """Adversarial probe fields aimed at the operator's own primitives: rank-one
+    terms reach their worst deficit only on fields aligned with both the
+    kernel and the emitter, which random probes essentially never hit."""
     out = [np.ones(problem.grid.shape)]
     for term in problem.operator.terms:
         if isinstance(term, RankOne):
-            k = term.kernel(t)
-            h = term.emitter(t)
+            k, h = term.kernel(t), term.emitter(t)
             out.extend([k, h, k + h, k - h])
         elif isinstance(term, Multiply):
             out.append(term.coefficient(t))
@@ -532,9 +543,7 @@ def _garding_draw(n: int, length: float, probes: int, seed: int) -> tuple:
     # solutions populate the whole band
     w = _band_limited_batch(grid, np.random.default_rng(seed),
                             [n // 4 if k % 2 == 0 else n // 2 for k in range(probes)])
-    # a compact copy: the gradients are the real view of a complex array
-    # twice their size, which the cache would otherwise hold for good
-    dw = np.ascontiguousarray(_gradients(grid, w))
+    dw = _gradients(grid, w)
     return tuple(_freeze(v) for v in (w, dw, _h1_norms_sq(grid, w, dw), _integrals(grid, w ** 2)))
 
 
@@ -545,31 +554,26 @@ def garding_constants(problem: ParabolicProblem, probes: int = 60,
     delta is fixed to twice the uniform lower bound of the diffusivity; kappa
     is the maximal deficit over probe fields and sampled times (a lower-bound
     style estimate, reported with the probe count).  Probes mix the random
-    ones of `_garding_draw` with primitive-targeted adversarial fields.
-
-    The bilinear form is A_t(w, w) = int A |grad w|^2 + w grad A . grad w
-    + w L[w] dvol.  The targeted probes and the diffusivity at each sampled
-    time are differentiated together, in one batched forward and one batched
-    inverse transform; each probe's gradient serves both it and ||w||_H1.
-    """
+    ones of `_garding_draw` with primitive-targeted adversarial fields.  The
+    bilinear form is A_t(w, w) = int A |grad w|^2 + w grad A . grad w + w L[w]
+    dvol.  The targeted probes and the diffusivity at each sampled time are
+    differentiated together, in one batched real forward and one inverse
+    transform; each probe's gradient serves both it and ||w||_H1."""
     delta = 2.0 * problem.min_diffusivity()
     if not delta > 0:  # NaN fails too
         raise NonPositiveDiffusivity("diffusivity lower bound is not positive")
-    grid = problem.grid
-    times = problem.times()
+    grid, times = problem.grid, problem.times()
     targeted = [(w, float(t)) for t in times[:: max(1, len(times) // 4)]
                 for w in _targeted_probes(problem, float(t))]
     drawn, d_drawn, h1_drawn, l2_drawn = _garding_draw(grid.n, grid.length, probes, seed)
     w_targeted = np.stack([v for v, _t in targeted])
     w = np.concatenate([w_targeted, drawn])
     at = [t for _v, t in targeted] + [float(times[k % len(times)]) for k in range(probes)]
-    slot = {}  # sampled time -> its row in the diffusivity stack
-    rows = [slot.setdefault(t, len(slot)) for t in at]
-    a = np.stack([problem.diffusivity(t) for t in slot])
+    sampled, rows = np.unique(at, return_inverse=True)  # A once per sampled time
+    a = np.stack([problem.diffusivity(float(t)) for t in sampled])
     grads = _gradients(grid, np.concatenate([w_targeted, a]))
     dw_targeted = grads[:len(targeted)]
-    dw, da = np.concatenate([dw_targeted, d_drawn]), grads[len(targeted):][rows]
-    a = a[rows]
+    dw, da, a = np.concatenate([dw_targeted, d_drawn]), grads[len(targeted):][rows], a[rows]
     quad = a * (dw[:, 0] ** 2 + dw[:, 1] ** 2 + dw[:, 2] ** 2)
     cross = w * (da[:, 0] * dw[:, 0] + da[:, 1] * dw[:, 1] + da[:, 2] * dw[:, 2])
     nonlocal_term = w * np.stack([problem.operator.apply(v, t) for v, t in zip(w, at)])
@@ -590,17 +594,14 @@ class EnergyReport:
 
 def energy_estimate_check(problem: ParabolicProblem, solution: SolutionRecord,
                           a: float, garding: Optional[GardingReport] = None) -> EnergyReport:
-    """Discrete analog of ||u||_{LH_a^1}^2 <= (1/delta) (|u0|_2^2 + ||f||_{LH_a^0}^2).
-
-    Time integrals over [0, T] are weighted trapezoidal sums with weight
-    e^{-2 a t}; requires a >= kappa + 1/2.
-    """
+    """Discrete analog of ||u||_{LH_a^1}^2 <= (1/delta) (|u0|_2^2 + ||f||_{LH_a^0}^2):
+    time integrals over [0, T] are trapezoidal sums with weight e^{-2 a t};
+    requires a >= kappa + 1/2."""
     garding = garding or garding_constants(problem)
     if a < garding.kappa + 0.5 - 1e-9 * (1.0 + abs(garding.kappa)):
         raise ParameterTooSmall(
             f"need a >= kappa + 1/2 = {garding.kappa + 0.5:.4f}, got {a}")
-    grid = problem.grid
-    times = solution.times
+    grid, times = problem.grid, solution.times
     wgt = np.exp(-2.0 * a * times)
     h1_series = _h1_norms_sq(grid, solution.states, _gradients(grid, solution.states))
     lhs = float(np.trapezoid(wgt * h1_series, times))
@@ -615,6 +616,5 @@ def energy_estimate_check(problem: ParabolicProblem, solution: SolutionRecord,
 def uniqueness_check(problem: ParabolicProblem) -> float:
     """Solve by Crank-Nicolson twice, from different Krylov starting vectors;
     sup-norm difference."""
-    s1 = solve(problem, "crank_nicolson", x0_mode="zero")
-    s2 = solve(problem, "crank_nicolson", x0_mode="random")
+    s1, s2 = (solve(problem, "crank_nicolson", x0_mode=mode) for mode in ("zero", "random"))
     return float(np.abs(s1.states - s2.states).max())

@@ -532,6 +532,25 @@ class TestValidators:
         assert abs(data["cn_order"] - 2.0) <= 0.1
         assert data["random_sweep_pass"] == "20/20"
 
+    def test_parabolic_validate_solver_stats(self, tmp_path):
+        # the implicit-step work of the whole report, counted from a reset:
+        # 56 Crank-Nicolson order steps, 64 heat steps, the 32 steps of the
+        # lockstep sweep and 2 x 32 uniqueness steps; a rerun reproduces the
+        # report byte for byte
+        for out in ("out1", "out2"):
+            (tmp_path / f"{out}.cfg").write_text(f"output.dir = {out}\n")
+            r = run_cli(["parabolic-validate", "--config", f"{out}.cfg"], tmp_path)
+            assert r.returncode == EXIT_OK, r.stdout + r.stderr
+        data = json.loads((tmp_path / "out1" / "parabolic_validate.json").read_text())
+        stats = data["solver_stats"]
+        assert set(stats) == {"step_solves", "gmres_iterations", "lockstep_iterations",
+                              "residual_checks"}
+        assert stats["step_solves"] == 216
+        assert stats["step_solves"] <= stats["lockstep_iterations"] < stats["gmres_iterations"]
+        assert stats["step_solves"] <= stats["residual_checks"]
+        assert ((tmp_path / "out1" / "parabolic_validate.json").read_bytes()
+                == (tmp_path / "out2" / "parabolic_validate.json").read_bytes())
+
 
 FLOW_FORMULAS = {"flow_rhs", "volume_invariant", "eigen_tracking"}
 RATE_FORMULAS = {"eigen_rate", "spinor_rate"}
@@ -555,7 +574,8 @@ class TestReportKeys:
           "solver_stats", "formulas"}, RATE_FORMULAS),
         ("parabolic-validate", "parabolic_validate.json",
          {"cn_errors", "cn_order", "heat_mode_error", "energy_estimate",
-          "random_sweep_pass", "a1_constant", "a2_violation", "uniqueness_diff", "pass"},
+          "random_sweep_pass", "a1_constant", "a2_violation", "uniqueness_diff", "pass",
+          "solver_stats"},
          None),
         ("covariance-check", "covariance_check.json",
          {"residual_f_zero", "residual_f_constant", "residual_band_limited", "pass"}, None),

@@ -16,6 +16,8 @@ from edtorus.fields import (
     fourier_transform,
     grid_fft,
     grid_ifft,
+    grid_irfft,
+    grid_rfft,
     inverse_fourier_scalar,
     inverse_fourier_spinor,
     quadrature,
@@ -137,18 +139,35 @@ class TestFourier:
             assert np.array_equal(back.values[..., c],
                                   grid_ifft(coeffs[..., c] * grid8.num_points))
 
+    def test_real_pair_is_the_half_spectrum(self, grid8, rng):
+        # grid_rfft keeps modes 0..n/2 of grid_fft's last axis, and
+        # grid_irfft inverts it, field by field along a leading batch axis
+        stack = rng.standard_normal((3,) + grid8.shape)
+        half = grid_rfft(stack, axes=(1, 2, 3))
+        assert half.shape == (3, 8, 8, 5)
+        full = grid_fft(stack, axes=(1, 2, 3))
+        assert np.abs(half - full[..., :5]).max() <= 1e-12 * np.abs(full).max()
+        back = grid_irfft(half, axes=(1, 2, 3))
+        assert np.abs(back - stack).max() <= 1e-14 * np.abs(stack).max()
+        for a in range(3):
+            assert np.array_equal(half[a], grid_rfft(stack[a]))
+            assert np.array_equal(back[a], grid_irfft(half[a]))
+
     def test_scalar_symbols(self):
-        # |kappa|^2 and i kappa with the Nyquist plane of each axis zeroed,
-        # against the integer modes on a side other than 2 pi
+        # |kappa|^2 and i kappa on the half spectrum, with the Nyquist plane
+        # of each axis zeroed, against the integer modes on a side other
+        # than 2 pi
         n, length = 6, 3.0
         k = np.fft.fftfreq(n, d=1.0 / n)
-        modes = np.meshgrid(k, k, k, indexing="ij")
+        modes = np.meshgrid(k, k, np.arange(n // 2 + 1), indexing="ij")
         kappa = [(2 * np.pi / length) * m for m in modes]
         sym = scalar_symbols(n, length)
+        assert sym.k_sq.shape == (n, n, n // 2 + 1)
         assert np.array_equal(sym.k_sq, kappa[0] ** 2 + kappa[1] ** 2 + kappa[2] ** 2)
         for ik, kap, m in zip(sym.ik, kappa, modes):
-            assert np.all(ik[m == -n // 2] == 0)
-            assert np.array_equal(ik[m != -n // 2], 1j * kap[m != -n // 2])
+            nyquist = np.abs(m) == n // 2
+            assert np.all(ik[nyquist] == 0)
+            assert np.array_equal(ik[~nyquist], 1j * kap[~nyquist])
 
     def test_parseval(self, grid8, rng):
         # band-limited random field: h^3 sum f^2 = L^3 sum |fhat|^2
