@@ -106,9 +106,6 @@ class RunConfig:
                                   key=key)
         return value
 
-    def normalized(self) -> str:
-        return "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values))
-
 
 def parse_config_text(text: str) -> RunConfig:
     values = dict(_DEFAULTS)

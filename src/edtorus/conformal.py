@@ -16,8 +16,6 @@ from .fields import (
     grid_irfft,
     grid_rfft,
     integrate_values,
-    quadrature,
-    require_positive,
     scalar_field,
     scalar_symbols,
 )
@@ -55,12 +53,6 @@ def conformal_laplacian(u: ScalarField, exps: ExponentTable) -> ScalarField:
     """Yamabe operator L_g u = -c_m * Laplacian(u) + scal_g * u (scal_g = 0 here)."""
     scal = background_scalar_curvature(u.grid)
     return scalar_field(u.grid, -exps.c_m * laplacian(u).values + scal.values * u.values)
-
-
-def scal_conformal(u: ScalarField, exps: ExponentTable) -> ScalarField:
-    """Scalar curvature of g^u = u^{4/(m-2)} g:  u^{-(m+2)/(m-2)} * L_g u."""
-    require_positive(u)
-    return scalar_field(u.grid, u.values ** (-exps.p3) * conformal_laplacian(u, exps).values)
 
 
 def laplace_beltrami_conformal(f: ScalarField, phi: ScalarField,
@@ -109,8 +101,3 @@ def yamabe_covariance_residual(f: ScalarField, u: ScalarField,
     diff = lhs - rhs
     return float(np.sqrt(integrate_values(u.grid, diff ** 2)))
 
-
-def total_energy(u: ScalarField, exps: ExponentTable | None = None) -> float:
-    """E(u) = int u L_g u dvol = c_m int |grad u|^2 >= 0 on the flat torus."""
-    exps = exps or ExponentTable(3)
-    return quadrature(scalar_field(u.grid, u.values * conformal_laplacian(u, exps).values))

@@ -8,7 +8,6 @@ not any external sign convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,29 +28,6 @@ from .fields import (
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class CliffordFrame:
-    """The three constant 2x2 hermitian matrices giving Clifford multiplication."""
-
-    sigma: tuple = field(default=(SIGMA1, SIGMA2, SIGMA3))
-
-    def anticommutator_defect(self) -> float:
-        """max |sigma_a sigma_b + sigma_b sigma_a - 2 delta_ab I| over all a, b."""
-        worst = 0.0
-        for a in range(3):
-            for b in range(3):
-                acom = self.sigma[a] @ self.sigma[b] + self.sigma[b] @ self.sigma[a]
-                target = 2.0 * np.eye(2) if a == b else np.zeros((2, 2))
-                worst = max(worst, float(np.abs(acom - target).max()))
-        return worst
-
-    def hermiticity_defect(self) -> float:
-        return max(float(np.abs(s - s.conj().T).max()) for s in self.sigma)
-
-    def trace_defect(self) -> float:
-        return max(float(abs(np.trace(s))) for s in self.sigma)
 
 
 def dirac_values(grid: TorusGrid, spin: SpinStructure, values: np.ndarray) -> np.ndarray:

@@ -78,8 +78,8 @@ class ExponentTable:
         if self.m < 3:
             raise ValueError("dimension must be at least 3")
 
-    def _q(self, num, den=None) -> float:
-        return float(Fraction(num, self.m - 2 if den is None else den))
+    def _q(self, num) -> float:
+        return float(Fraction(num, self.m - 2))
 
     @property
     def p1(self) -> float:
@@ -124,10 +124,6 @@ class SpinStructure:
         if len(self.shift) != 3 or any(s not in (0, 0.5) for s in self.shift):
             raise ValueError(f"spin shift components must be 0 or 0.5, got {self.shift}")
         object.__setattr__(self, "shift", tuple(float(s) for s in self.shift))
-
-    @property
-    def trivial(self) -> bool:
-        return all(s == 0.0 for s in self.shift)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -183,19 +179,12 @@ def field_from_function(grid: TorusGrid, fn) -> ScalarField:
     return scalar_field(grid, fn(x1, x2, x3))
 
 
-def constant_spinor(grid: TorusGrid, spin: SpinStructure, fiber) -> SpinorField:
-    v = np.zeros(grid.shape + (2,), dtype=np.complex128)
-    v[..., 0] = fiber[0]
-    v[..., 1] = fiber[1]
-    return SpinorField(grid, spin, v)
-
-
 # ---------------------------------------------------------------------------
 # Fourier plumbing.
 #
-# Convention: fourier_transform returns coefficients c(k) with
+# Convention: grid_fft(f)/(n^3) holds the coefficients c(k) with
 #   f(x) = sum_k c(k) exp(i*(2*pi/L)*k.x),   k integer modes in [-n/2, n/2)^3,
-# i.e. the constant field has c(0) = 1.  grid_fft/(n^3) realizes this.
+# i.e. the constant field has c(0) = 1.
 # ---------------------------------------------------------------------------
 
 #: grid axes of an unpacked spinor array or a batch of them, (..., n, n, n, 2)
@@ -340,23 +329,6 @@ def apply_spinor_symbol(r_diag: np.ndarray, r_off: np.ndarray, hat: np.ndarray) 
     return out
 
 
-def fourier_transform(f):
-    """Normalized forward DFT of a ScalarField or SpinorField (per component)."""
-    if isinstance(f, ScalarField):
-        return grid_fft(f.values) / f.grid.num_points
-    if isinstance(f, SpinorField):
-        return grid_fft(f.values, axes=SPINOR_GRID_AXES) / f.grid.num_points
-    raise TypeError(f"expected a field, got {type(f)!r}")
-
-
-def inverse_fourier_scalar(grid: TorusGrid, coeffs: np.ndarray) -> ScalarField:
-    return scalar_field(grid, grid_ifft(coeffs * grid.num_points).real)
-
-
-def inverse_fourier_spinor(grid: TorusGrid, spin: SpinStructure, coeffs: np.ndarray) -> SpinorField:
-    return SpinorField(grid, spin, grid_ifft(coeffs * grid.num_points, axes=SPINOR_GRID_AXES))
-
-
 # ---------------------------------------------------------------------------
 # Quadrature and inner products.  np.sum uses pairwise reduction on
 # contiguous arrays, which keeps every reduction bit-reproducible.
@@ -375,15 +347,6 @@ def pointwise_norm_sq(psi: SpinorField) -> np.ndarray:
     """|psi(x)|^2, gauge independent (the trivializing phase cancels)."""
     v = psi.values
     return (v.real ** 2 + v.imag ** 2).sum(axis=-1)
-
-
-def spinor_l2_inner(psi: SpinorField, phi: SpinorField) -> complex:
-    """Unweighted L^2 hermitian product, conjugate-linear in the first slot."""
-    return psi.grid.cell_volume * complex(np.vdot(psi.values, phi.values))
-
-
-def spinor_l2_norm(psi: SpinorField) -> float:
-    return float(np.sqrt(psi.grid.cell_volume * np.sum(np.abs(psi.values) ** 2)))
 
 
 def require_positive(u: ScalarField) -> None:

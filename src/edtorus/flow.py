@@ -19,13 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conformal import (
-    background_scalar_curvature,
-    conformal_laplacian,
-    laplacian,
-    scal_conformal,
-)
-from .dirac import apply_dirac
+from .conformal import background_scalar_curvature, conformal_laplacian, laplacian
 from .errors import (
     ConvergenceFailure,
     EdtorusError,
@@ -112,46 +106,6 @@ def rhs_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
     return scalar_field(u.grid, rate)
 
 
-def eta_u(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> ScalarField:
-    """Conformal-speed field: du/dt = ((m-2)/4) eta_u u for a normalized pair."""
-    if u.min() <= 0.0:
-        raise PositivityLoss(f"conformal factor min {u.min():.3e}")
-    scal_u = scal_conformal(u, exps).values
-    dens = pointwise_norm_sq(pair.psi)
-    energy = integrate_values(u.grid, u.values * conformal_laplacian(u, exps).values)
-    vals = -(4.0 / (exps.m - 2)) * (scal_u - energy * dens * u.values ** (-exps.p7))
-    return scalar_field(u.grid, vals)
-
-
-def action_value(u: ScalarField, pair: EigenPair,
-                 exps: Optional[ExponentTable] = None) -> float:
-    """int [u L_g u + (D psi, psi) - lambda u^{p1} |psi|^2] dvol."""
-    exps = exps or ExponentTable(3)
-    lu = conformal_laplacian(u, exps).values
-    dpsi = apply_dirac(pair.psi).values
-    dirac_dens = (np.conjugate(pair.psi.values) * dpsi).sum(axis=-1).real
-    dens = pointwise_norm_sq(pair.psi)
-    integrand = u.values * lu + dirac_dens - pair.lam * u.values ** exps.p1 * dens
-    return integrate_values(u.grid, integrand)
-
-
-def _stationary_parts(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> tuple:
-    """The energy int u L_g u, the L^2 scalar residual of the stationary
-    system and its Dirac residual field D psi - lambda u^{p1} psi, from one
-    conformal Laplacian and one Dirac application."""
-    energy, scalar_resid = _ratio_bracket(u, pair, exps)
-    r1 = float(np.sqrt(integrate_values(u.grid, scalar_resid ** 2)))
-    return energy, r1, pair.dirac_residual(u, exps)
-
-
-def stationarity_residual(u: ScalarField, pair: EigenPair,
-                          exps: ExponentTable) -> tuple:
-    """L^2 residuals of the coupled stationary system (scalar, constraint)."""
-    _energy, r1, spin_resid = _stationary_parts(u, pair, exps)
-    r2 = float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(spin_resid) ** 2)))
-    return r1, r2
-
-
 # ---------------------------------------------------------------------------
 # Flow state, configuration, stepping.
 # ---------------------------------------------------------------------------
@@ -170,13 +124,17 @@ class FlowState:
     stage_pairs: tuple = ()             # RK4 stage pairs of the step that made it
 
     def with_diagnostics(self, exps: ExponentTable) -> "FlowState":
-        energy, r1, spin_resid = _stationary_parts(self.u, self.pair, exps)
+        """The state with its energy int u L_g u, its volume, the pair's
+        constraint residual, the L^2 residual of the stationary scalar
+        equation (the ratio bracket) and min u, from one conformal Laplacian
+        and one Dirac application."""
+        energy, bracket = _ratio_bracket(self.u, self.pair, exps)
         return replace(
             self,
             energy=energy,
             vol=volume(self.u, exps),
-            constraint_residual=self.pair.relative_size(spin_resid),
-            stationarity=r1,
+            constraint_residual=self.pair.constraint_residual(self.u, exps),
+            stationarity=float(np.sqrt(integrate_values(self.u.grid, bracket ** 2))),
             min_u=self.u.min(),
         )
 
@@ -452,7 +410,7 @@ def linearized_flow_operator(v: ScalarField, pair: EigenPair,
 
     mult_diffusion = -(4.0 * exps.c_m / (m - 2)) * v.values ** (-exps.p3) * lap_v
     mult_curvature = -((m - 6.0) / (m - 2)) * scal * v.values ** (-exps.p4)
-    mult_weight = -exps.p6 * energy * dens * v.values ** (-(2.0 * m - 2) / (m - 2))
+    mult_weight = -exps.p6 * energy * dens * v.values ** (-exps.p7)
 
     kernel_energy = 2.0 * lv
     kernel_norm = -(2.0 / (m - 2)) * energy * v.values ** exps.p2 * dens
@@ -482,12 +440,12 @@ def linearized_flow_operator(v: ScalarField, pair: EigenPair,
     ])
 
 
-def flow_rhs_at(v: ScalarField, lam_ref: float, exps: ExponentTable,
-                spin: Optional[SpinStructure] = None) -> ScalarField:
-    """The flow right side at v with the eigenpair re-solved near lam_ref.
+def flow_rhs_at(v: ScalarField, lam_ref: float, exps: ExponentTable) -> ScalarField:
+    """The flow right side at v with the eigenpair re-solved near lam_ref, at
+    the default spin structure.
 
     Well defined as a function of v alone: within a quaternionic-simple
     cluster the pointwise norm |psi_v|^2 is gauge independent.
     """
-    pair = tracked_pair(spectrum_near(v, lam_ref, 2, spin, exps), lam_ref)
+    pair = tracked_pair(spectrum_near(v, lam_ref, 2, exps=exps), lam_ref)
     return rhs_u(v, pair, exps)

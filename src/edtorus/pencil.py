@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.blas import zaxpy
 
 from .dirac import apply_dirac, dirac_values, j_values
-from .errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor
+from .errors import ConvergenceFailure, GridTooLarge
 from .fields import (
     SPINOR_GRID_AXES,
     ExponentTable,
@@ -29,7 +29,6 @@ from .fields import (
     grid_ifft,
     kappa_symbols,
     require_positive,
-    weighted_spinor_inner,
 )
 
 #: eigenvalues closer than this (relative) are treated as one cluster
@@ -267,22 +266,14 @@ class EigenPair:
     lam: float
     psi: SpinorField
 
-    def dirac_residual(self, u: ScalarField, exps: ExponentTable) -> np.ndarray:
-        """D psi - lambda u^{p1} psi on the grid: one Dirac application."""
-        w = u.values ** exps.p1
-        return apply_dirac(self.psi).values - self.lam * w[..., None] * self.psi.values
-
     def constraint_residual(self, u: ScalarField, exps: ExponentTable) -> float:
-        return self.relative_size(self.dirac_residual(u, exps))
-
-    def relative_size(self, values: np.ndarray) -> float:
-        """|values| / |psi| in the l2 norm of grid values."""
-        num = np.sqrt(np.sum(np.abs(values) ** 2))
+        """|D psi - lambda u^{p1} psi| / |psi| in the l2 norm of grid values:
+        one Dirac application."""
+        w = u.values ** exps.p1
+        resid = apply_dirac(self.psi).values - self.lam * w[..., None] * self.psi.values
+        num = np.sqrt(np.sum(np.abs(resid) ** 2))
         den = np.sqrt(np.sum(np.abs(self.psi.values) ** 2))
         return float(num / den)
-
-    def normalization_error(self, u: ScalarField, exps: ExponentTable) -> float:
-        return abs(weighted_spinor_inner(u, self.psi, self.psi, exps) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -592,6 +583,11 @@ def solve_window(u: ScalarField, target: float, count: int,
     shrink.  Signed eigenvalues come from a final Rayleigh-Ritz of C on the
     J-closure of the first ceil(count/2) columns, accepted only on directly
     verified residuals of C; the window records the iterations.
+
+    Raises ConvergenceFailure with the iterations and the largest wanted
+    folded residual when the iteration stops unconverged, and with an
+    infinite residual when the Rayleigh-Ritz block is not finite, as when
+    (C - sigma)^2 overflows for a far target or a tiny side length.
     """
     spin = spin or SpinStructure()
     exps = exps or ExponentTable(3)
@@ -627,6 +623,9 @@ def solve_window(u: ScalarField, target: float, count: int,
         basis, a_basis = np.hstack([X, S]), np.hstack([AX, AS])
         j_basis, ja_basis = pencil.j(basis), pencil.j(a_basis)
         H = _quaternionic(basis.conj().T @ a_basis, basis.conj().T @ ja_basis)
+        if not np.isfinite(H).all():
+            raise ConvergenceFailure("window block is not finite",
+                                     iterations=it, residual=math.inf)
         w, V = np.linalg.eigh(H)
         V = _one_per_pair(w, V, block)
         mu = np.einsum("ij,ij->j", V.conj(), H @ V).real
@@ -809,46 +808,8 @@ def spectrum_near(u: ScalarField, center: float, count: int,
 
 
 # ---------------------------------------------------------------------------
-# Probes.
+# Rigidity probe.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SplittingReport:
-    eps: np.ndarray
-    branches: np.ndarray       # shape (len(eps), cluster_size), sorted rows
-    separations: np.ndarray    # max pairwise separation per eps
-    splits: bool               # separations strictly increasing
-
-
-def splitting_probe(u: ScalarField, lam: float, v: ScalarField, eps_list,
-                    spin: SpinStructure | None = None,
-                    exps: ExponentTable | None = None,
-                    cluster_size: int | None = None) -> SplittingReport:
-    """Track the eigenvalue branches of the pencil at u + eps*v.
-
-    Follows the descendants of the multiple eigenvalue lam and reports
-    whether their maximal pairwise separation grows with eps.
-    """
-    spin = spin or SpinStructure()
-    exps = exps or ExponentTable(3)
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-
-    if cluster_size is None:
-        base = spectrum_near(u, lam, min(16, 2 * u.grid.num_points), spin, exps)
-        cluster_size = len(base.cluster_near(lam).members)
-
-    branches = np.empty((eps_arr.size, cluster_size))
-    center = lam
-    for i, eps in enumerate(eps_arr):
-        w = ScalarField(u.grid, u.values + eps * v.values)
-        if w.min() <= 0:
-            raise NonPositiveConformalFactor(f"u + {eps} v loses positivity")
-        branches[i] = spectrum_near(w, center, cluster_size, spin, exps).eigenvalues
-        center = float(branches[i].mean())
-    seps = branches.max(axis=1) - branches.min(axis=1)
-    splits = bool(np.all(np.diff(seps) > 0))
-    return SplittingReport(eps_arr, branches, seps, splits)
-
 
 def rigidity_probe(window: SpectrumWindow, lam: float) -> float:
     """Spread of pointwise spinor norms across a normalized eigenvalue cluster.

@@ -24,7 +24,6 @@ from .fields import (
     ExponentTable,
     ScalarField,
     SpinorField,
-    SpinStructure,
     integrate_values,
     scalar_field,
     weighted_spinor_inner,
@@ -42,11 +41,6 @@ from .pencil import (
 #: identifiers of the rate formulas `perturb-validate` checks, for audit
 RATE_FORMULA_VERSIONS = {"eigen_rate": "first-order-continuation-v1",
                          "spinor_rate": "projected-resolvent-plus-v1"}
-
-
-def pair_weight(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> float:
-    """(psi, psi)_u, kept explicit so no unit-normalization is assumed."""
-    return weighted_spinor_inner(u, pair.psi, pair.psi, exps)
 
 
 def lambda_dot(u: ScalarField, udot: ScalarField, pair: EigenPair,
@@ -118,7 +112,8 @@ def psi_dot(u: ScalarField, udot: ScalarField, pair: EigenPair, lamdot: float,
 
 
 def renormalize(u: ScalarField, pair: EigenPair, exps: ExponentTable) -> EigenPair:
-    n = np.sqrt(pair_weight(u, pair, exps))
+    """The pair with psi scaled to unit (psi, psi)_u."""
+    n = np.sqrt(weighted_spinor_inner(u, pair.psi, pair.psi, exps))
     return EigenPair(pair.lam, SpinorField(pair.psi.grid, pair.psi.spin, pair.psi.values / n))
 
 
@@ -166,20 +161,19 @@ class FDStudy:
 
 
 def fd_study(u: ScalarField, udot: ScalarField, lam_ref: float, exps: ExponentTable,
-             spin=None, steps=(1e-2, 5e-3, 2.5e-3)) -> FDStudy:
+             steps=(1e-2, 5e-3, 2.5e-3)) -> FDStudy:
     """Centered-difference checks of the eigenvalue rate and of the
     gauge-aligned eigenspinor rate.
 
-    The base pair at u is the tracked pair of one dense oracle (n <= 6).  The
-    pair at each perturbed factor u +- h udot is `refine_pair` started from
-    the base pair, to the true residual FD_PAIR_TOL, and serves both
-    differences; a refinement that fails raises ConvergenceFailure.  The
-    perturbed spinors are in the continuation gauge, which `refine_pair`
-    returns: each is the quaternionic multiple of its eigenspace closest to
-    the base spinor.
+    The base pair at u is the tracked pair of one dense oracle (n <= 6) at
+    the default spin structure.  The pair at each perturbed factor u +- h udot
+    is `refine_pair` started from the base pair, to the true residual
+    FD_PAIR_TOL, and serves both differences; a refinement that fails raises
+    ConvergenceFailure.  The perturbed spinors are in the continuation gauge,
+    which `refine_pair` returns: each is the quaternionic multiple of its
+    eigenspace closest to the base spinor.
     """
-    spin = spin or SpinStructure()
-    base = tracked_pair(dense_oracle(u, spin, exps).window(lam_ref, 2), lam_ref)
+    base = tracked_pair(dense_oracle(u, exps=exps).window(lam_ref, 2), lam_ref)
     ld = lambda_dot(u, udot, base, exps)
     pd = psi_dot(u, udot, base, ld, exps, tol=1e-10)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -45,9 +46,8 @@ class TestParseConfig:
         cfg = parse_config_text("grid.n = 6\n")
         assert cfg["grid.n"] == "6"
         assert cfg["flow.scheme"] == "rk4_explicit"
-        normalized = cfg.normalized()
-        again = parse_config_text(normalized)
-        assert again.normalized() == normalized
+        again = parse_config_text("".join(f"{k} = {v}\n" for k, v in cfg.values.items()))
+        assert again.values == cfg.values
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# comment\n\nseed = 3  # trailing\n")
@@ -280,6 +280,22 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(cfg)]) == code
         label = "rejected" if code == EXIT_REJECTED else error.__name__
         assert capsys.readouterr().err == f"spectrum: {label}: injected\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "flow"])
+    @pytest.mark.parametrize("setting", ["eigen.target = 1e160", "grid.length = 1e-300"])
+    def test_overflowing_window_is_convergence_failure(self, tmp_path, command, setting):
+        # a far target or a tiny side overflows the folded operator (C - sigma)^2;
+        # the window solver reports a typed failure, and flow still writes its summary
+        (tmp_path / "c.cfg").write_text(f"grid.n = 4\n{setting}\noutput.dir = out\n")
+        r = run_cli([command, "--config", "c.cfg"], tmp_path)
+        assert r.returncode == EXIT_CONVERGENCE, r.stderr
+        message = "ConvergenceFailure: window block is not finite"
+        assert r.stderr.splitlines()[-1] == f"{command}: {message}"
+        if command == "flow":
+            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            assert summary["failed"] == message
+            assert summary["iterations"] >= 1
+            assert summary["residual"] == math.inf
 
     @pytest.mark.parametrize("defect", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, defect):

@@ -6,22 +6,30 @@ from edtorus.conformal import (
     grad_dot,
     laplace_beltrami_conformal,
     laplacian,
-    scal_conformal,
     scal_of_conformal_metric,
-    total_energy,
     yamabe_covariance_residual,
     yamabe_operator_conformal,
 )
-from edtorus.errors import NonPositiveConformalFactor
 from edtorus.fields import (
     TorusGrid,
     constant_field,
     field_from_function,
+    integrate_values,
     quadrature,
     scalar_field,
 )
 
 VOL = (2 * np.pi) ** 3
+
+
+def energy(u, exps):
+    """E(u) = int u L_g u dvol, which is c_m int |grad u|^2 >= 0 on the flat torus."""
+    return integrate_values(u.grid, u.values * conformal_laplacian(u, exps).values)
+
+
+def scal_of_factor(u, exps):
+    """Scalar curvature of g^u = u^{p4} g: u^{-p3} L_g u."""
+    return u.values ** (-exps.p3) * conformal_laplacian(u, exps).values
 
 
 class TestLaplacian:
@@ -52,23 +60,12 @@ class TestConformalLaplacian:
 
 class TestScalConformal:
     def test_constant_stays_flat(self, grid8, exps):
-        out = scal_conformal(constant_field(grid8, 1.7), exps)
-        assert np.abs(out.values).max() < 1e-12
+        assert np.abs(scal_of_factor(constant_field(grid8, 1.7), exps)).max() < 1e-12
 
     def test_direct_substitution(self, grid8, exps):
         u = field_from_function(grid8, lambda x, y, z: 1 + 0.1 * np.cos(x))
         expect = 0.8 * np.cos(grid8.coords()[0]) * u.values ** (-5)
-        assert np.allclose(scal_conformal(u, exps).values, expect, atol=1e-12)
-
-    def test_matches_definition(self, grid8, exps, rng):
-        u = scalar_field(grid8, 1.0 + 0.3 * rng.uniform(-1, 1, grid8.shape))
-        lhs = scal_conformal(u, exps).values
-        rhs = u.values ** (-5) * conformal_laplacian(u, exps).values
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_requires_positive(self, grid8, exps):
-        with pytest.raises(NonPositiveConformalFactor):
-            scal_conformal(constant_field(grid8, -1.0), exps)
+        assert np.allclose(scal_of_factor(u, exps), expect, atol=1e-12)
 
 
 def _fd_derivative(vals, axis, h, order):
@@ -121,8 +118,7 @@ class TestConformalMetricOperators:
         eps = 1e-4
         f = field_from_function(grid8, lambda x, y, z: eps * np.cos(x))
         out = scal_of_conformal_metric(f, exps).values
-        # leading order +4 eps cos x1, cross-checked against the
-        # conformal-factor route u = e^{f/2} in scal_conformal
+        # leading order +4 eps cos x1
         expect = 4 * eps * np.cos(grid8.coords()[0])
         assert np.abs(out - expect).max() <= 10 * eps ** 2
 
@@ -150,7 +146,7 @@ class TestYamabeCovariance:
         u = field_from_function(grid, lambda x, y, z: 1 + 0.1 * np.cos(x))
         v = field_from_function(grid, lambda x, y, z: 1 + 0.08 * np.cos(y))
         w = scalar_field(grid, u.values * v.values)
-        one_step = scal_conformal(w, exps).values
+        one_step = scal_of_factor(w, exps)
 
         f = scalar_field(grid, exps.p1 * np.log(u.values))
         lv = yamabe_operator_conformal(f, v, exps).values
@@ -160,22 +156,22 @@ class TestYamabeCovariance:
 
 
 class TestTotalEnergy:
-    def test_constant_zero(self, grid8):
-        assert total_energy(constant_field(grid8, 2.4)) == pytest.approx(0.0, abs=1e-12)
+    def test_constant_zero(self, grid8, exps):
+        assert energy(constant_field(grid8, 2.4), exps) == pytest.approx(0.0, abs=1e-12)
 
-    def test_single_mode_value(self, grid8):
+    def test_single_mode_value(self, grid8, exps):
         u = field_from_function(grid8, lambda x, y, z: 1 + 0.1 * np.cos(x))
-        assert total_energy(u) == pytest.approx(0.04 * VOL, rel=1e-12)
+        assert energy(u, exps) == pytest.approx(0.04 * VOL, rel=1e-12)
 
-    def test_orthogonal_modes(self, grid8):
+    def test_orthogonal_modes(self, grid8, exps):
         a, b = 0.13, 0.07
         u = field_from_function(grid8, lambda x, y, z: 1 + a * np.cos(x) + b * np.cos(y))
-        assert total_energy(u) == pytest.approx(4 * (a ** 2 + b ** 2) * VOL, rel=1e-12)
+        assert energy(u, exps) == pytest.approx(4 * (a ** 2 + b ** 2) * VOL, rel=1e-12)
 
-    def test_nonnegative_random(self, grid8, rng):
+    def test_nonnegative_random(self, grid8, rng, exps):
         for _ in range(10):
             u = scalar_field(grid8, rng.standard_normal(grid8.shape))
-            assert total_energy(u) >= -1e-12
+            assert energy(u, exps) >= -1e-12
 
     def test_gradient_identity(self, grid8, rng, exps):
         # band-limited u: the identity is an integration-by-parts statement
@@ -183,7 +179,7 @@ class TestTotalEnergy:
         u = field_from_function(
             grid8, lambda x, y, z: 1 + 0.3 * np.cos(x) + 0.2 * np.cos(y + 2 * z))
         grad_sq = quadrature(scalar_field(grid8, grad_dot(u, u)))
-        assert total_energy(u) == pytest.approx(exps.c_m * grad_sq, rel=1e-10)
+        assert energy(u, exps) == pytest.approx(exps.c_m * grad_sq, rel=1e-10)
 
 
 class TestSelfAdjointness:

@@ -5,21 +5,18 @@ from hypothesis import strategies as st
 
 from edtorus.errors import NonPositiveConformalFactor
 from edtorus.fields import (
+    SPINOR_GRID_AXES,
     ExponentTable,
     ScalarField,
     SpinorField,
     SpinStructure,
     TorusGrid,
     constant_field,
-    constant_spinor,
     field_from_function,
-    fourier_transform,
     grid_fft,
     grid_ifft,
     grid_irfft,
     grid_rfft,
-    inverse_fourier_scalar,
-    inverse_fourier_spinor,
     quadrature,
     read_snapshot,
     scalar_field,
@@ -35,6 +32,11 @@ VOL = (2 * np.pi) ** 3
 def random_spinor(grid, spin, rng):
     v = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
     return SpinorField(grid, spin, v)
+
+
+def constant_spinor(grid, spin, fiber):
+    return SpinorField(grid, spin, np.broadcast_to(np.asarray(fiber, dtype=complex),
+                                                   grid.shape + (2,)))
 
 
 class TestGridAndTypes:
@@ -59,7 +61,7 @@ class TestGridAndTypes:
 
     def test_spin_structure_validation(self):
         assert SpinStructure().shift == (0.5, 0.5, 0.5)
-        assert SpinStructure((0, 0, 0)).trivial
+        assert SpinStructure((0, 0, 0)).shift == (0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             SpinStructure((0.3, 0, 0))
 
@@ -94,27 +96,28 @@ class TestExponents:
 
 
 class TestFourier:
+    # grid_fft / n^3 holds the coefficients c(k) of f = sum_k c(k) exp(i k.x)
     def test_constant_mode(self, grid8):
-        c = fourier_transform(constant_field(grid8, 1.0))
+        c = grid_fft(constant_field(grid8, 1.0).values) / grid8.num_points
         assert c[0, 0, 0] == pytest.approx(1.0)
         c[0, 0, 0] = 0
         assert np.abs(c).max() < 1e-14
 
     def test_cosine_coefficients(self, grid8):
         f = field_from_function(grid8, lambda x, y, z: np.cos(x))
-        c = fourier_transform(f)
+        c = grid_fft(f.values) / grid8.num_points
         assert c[1, 0, 0] == pytest.approx(0.5, abs=1e-14)
         assert c[-1, 0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_scalar_round_trip(self, grid8, rng):
         f = scalar_field(grid8, rng.standard_normal(grid8.shape))
-        back = inverse_fourier_scalar(grid8, fourier_transform(f))
-        assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
+        back = grid_ifft(grid_fft(f.values)).real
+        assert np.abs(back - f.values).max() <= 1e-12 * np.abs(f.values).max()
 
     def test_spinor_round_trip(self, grid8, spin, rng):
         psi = random_spinor(grid8, spin, rng)
-        back = inverse_fourier_spinor(grid8, spin, fourier_transform(psi))
-        assert np.abs(back.values - psi.values).max() <= 1e-12 * np.abs(psi.values).max()
+        back = grid_ifft(grid_fft(psi.values, axes=SPINOR_GRID_AXES), axes=SPINOR_GRID_AXES)
+        assert np.abs(back - psi.values).max() <= 1e-12 * np.abs(psi.values).max()
 
     def test_default_axes_are_all_axes_of_a_scalar(self, grid8, rng):
         x = rng.standard_normal(grid8.shape)
@@ -132,12 +135,11 @@ class TestFourier:
 
     def test_spinor_transforms_act_per_component(self, grid8, spin, rng):
         psi = random_spinor(grid8, spin, rng)
-        coeffs = fourier_transform(psi)
-        back = inverse_fourier_spinor(grid8, spin, coeffs)
+        coeffs = grid_fft(psi.values, axes=SPINOR_GRID_AXES)
+        back = grid_ifft(coeffs, axes=SPINOR_GRID_AXES)
         for c in range(2):
-            assert np.array_equal(coeffs[..., c], grid_fft(psi.values[..., c]) / grid8.num_points)
-            assert np.array_equal(back.values[..., c],
-                                  grid_ifft(coeffs[..., c] * grid8.num_points))
+            assert np.array_equal(coeffs[..., c], grid_fft(psi.values[..., c]))
+            assert np.array_equal(back[..., c], grid_ifft(coeffs[..., c]))
 
     def test_real_pair_is_the_half_spectrum(self, grid8, rng):
         # grid_rfft keeps modes 0..n/2 of grid_fft's last axis, and
@@ -177,9 +179,9 @@ class TestFourier:
             a = rng.standard_normal() + 1j * rng.standard_normal()
             coeffs[k] += a
             coeffs[tuple(-np.array(k))] += np.conj(a)
-        f = inverse_fourier_scalar(grid8, coeffs)
+        f = scalar_field(grid8, grid_ifft(coeffs * grid8.num_points).real)
         lhs = quadrature(scalar_field(grid8, f.values ** 2))
-        fh = fourier_transform(f)
+        fh = grid_fft(f.values) / grid8.num_points
         rhs = grid8.length ** 3 * np.sum(np.abs(fh) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 

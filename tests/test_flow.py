@@ -3,8 +3,8 @@ import pytest
 
 import edtorus.flow
 import edtorus.pencil
-from edtorus.conformal import conformal_laplacian, laplacian, total_energy
-from edtorus.dirac import quaternionic_j
+from edtorus.conformal import conformal_laplacian, laplacian
+from edtorus.dirac import apply_dirac, quaternionic_j
 from edtorus.errors import ConvergenceFailure, NoSimpleEigenvalue, StepTooLarge
 from edtorus.fields import (
     SpinorField,
@@ -12,23 +12,21 @@ from edtorus.fields import (
     TorusGrid,
     constant_field,
     field_from_function,
-    fourier_transform,
+    grid_fft,
     integrate_values,
+    pointwise_norm_sq,
     scalar_field,
 )
 from edtorus.flow import (
     FlowConfig,
     FlowState,
-    action_value,
     cfl_bound,
-    eta_u,
     flow_rhs_at,
     linearized_flow_operator,
     prepare_initial_state,
     rhs_u,
     rk4_step,
     run,
-    stationarity_residual,
     step,
     volume,
 )
@@ -47,6 +45,29 @@ def tracked_pair(u, lam_ref, spin, exps):
     sel = dense.nearest_indices(lam_ref, 2)
     lam = float(dense.eigenvalues[sel].mean())
     return renormalize(u, EigenPair(lam, dense.pair(int(sel[0])).psi), exps)
+
+
+def conformal_speed(u, pair, exps):
+    """eta = -(4/(m-2)) (u^{-p3} L_g u - E |psi|^2 u^{-p7}) for a u-normalized
+    pair, E = int u L_g u: u^{-p3} L_g u is the scalar curvature of u^{p4} g."""
+    lu = conformal_laplacian(u, exps).values
+    energy = integrate_values(u.grid, u.values * lu)
+    scal_u = u.values ** (-exps.p3) * lu
+    dens = pointwise_norm_sq(pair.psi)
+    return -(4.0 / (exps.m - 2)) * (scal_u - energy * dens * u.values ** (-exps.p7))
+
+
+def dirac_einstein_action(u, pair, exps):
+    """int [u L_g u + (D psi, psi) - lambda u^{p1} |psi|^2] dvol."""
+    lu = conformal_laplacian(u, exps).values
+    dirac_dens = (np.conjugate(pair.psi.values) * apply_dirac(pair.psi).values).sum(-1).real
+    dens = pointwise_norm_sq(pair.psi)
+    return integrate_values(u.grid, u.values * lu + dirac_dens
+                            - pair.lam * u.values ** exps.p1 * dens)
+
+
+def diagnosed(u, pair, exps):
+    return FlowState(0.0, u, pair, gap=0.07).with_diagnostics(exps)
 
 
 @pytest.fixture(scope="module")
@@ -100,19 +121,20 @@ class TestEta:
         grid = TorusGrid(6)
         u = constant_field(grid, 2.0)
         pair = tracked_pair(u, 0.25, spin, exps)
-        assert np.abs(eta_u(u, pair, exps).values).max() <= 1e-12
+        assert np.abs(conformal_speed(u, pair, exps)).max() <= 1e-12
 
     def test_rate_identity(self, state6, exps):
+        # the ratio-form rate of u is the conformal speed: du/dt = ((m-2)/4) eta u
         grid, u, pair = state6
         lhs = rhs_u(u, pair, exps).values
-        rhs = 0.25 * (exps.m - 2) * eta_u(u, pair, exps).values * u.values
+        rhs = 0.25 * (exps.m - 2) * conformal_speed(u, pair, exps) * u.values
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_metric_chain_rule(self, state6, exps):
         # d/dt g = eta g in conformal-factor form: p4 u^{p4-1} du/dt = eta u^{p4}
         grid, u, pair = state6
         du = rhs_u(u, pair, exps).values
-        eta = eta_u(u, pair, exps).values
+        eta = conformal_speed(u, pair, exps)
         lhs = exps.p4 * u.values ** (exps.p4 - 1) * du
         rhs = eta * u.values ** exps.p4
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
@@ -121,51 +143,52 @@ class TestEta:
 class TestActionAndStationarity:
     def test_action_equals_energy_on_eigenpairs(self, state6, exps):
         grid, u, pair = state6
-        assert action_value(u, pair, exps=exps) == pytest.approx(total_energy(u), abs=1e-10)
+        assert dirac_einstein_action(u, pair, exps) == pytest.approx(
+            diagnosed(u, pair, exps).energy, abs=1e-10)
 
     def test_action_constant_zero(self, exps, spin):
         grid = TorusGrid(6)
         u = constant_field(grid, 1.3)
         pair = tracked_pair(u, 0.5, spin, exps)
-        assert abs(action_value(u, pair, exps=exps)) <= 1e-10
+        assert abs(dirac_einstein_action(u, pair, exps)) <= 1e-10
 
     def test_action_rayleigh_defect(self, state6, exps, rng):
-        from edtorus.dirac import apply_dirac
-        from edtorus.fields import integrate_values, pointwise_norm_sq
-
+        # off an eigenpair the action exceeds the energy by the Rayleigh defect
+        # Re int (psi, D psi - lambda u^{p1} psi)
         grid, u, pair = state6
         noise = 0.1 * (rng.standard_normal(grid.shape + (2,))
                        + 1j * rng.standard_normal(grid.shape + (2,)))
         psi = SpinorField(grid, pair.psi.spin, pair.psi.values + noise)
-        bad = EigenPair(pair.lam, psi)
-        got = action_value(u, bad, exps=exps)
-        dirac_dens = (np.conjugate(psi.values) * apply_dirac(psi).values).sum(-1).real
-        defect = integrate_values(grid, dirac_dens) - pair.lam * integrate_values(
-            grid, u.values ** exps.p1 * pointwise_norm_sq(psi))
-        assert got == pytest.approx(total_energy(u) + defect, rel=1e-10)
+        got = dirac_einstein_action(u, EigenPair(pair.lam, psi), exps)
+        resid = apply_dirac(psi).values - pair.lam * (u.values ** exps.p1)[..., None] * psi.values
+        defect = integrate_values(grid, (np.conjugate(psi.values) * resid).sum(-1).real)
+        assert got == pytest.approx(diagnosed(u, pair, exps).energy + defect, rel=1e-10)
 
     def test_stationarity_at_constant(self, exps, spin):
         grid = TorusGrid(6)
         u = constant_field(grid, 1.0)
         pair = tracked_pair(u, 0.87, spin, exps)
-        r1, r2 = stationarity_residual(u, pair, exps)
-        assert r1 <= 1e-10
-        assert r2 <= 1e-9
+        resid = apply_dirac(pair.psi).values - pair.lam * (u.values ** exps.p1)[..., None] \
+            * pair.psi.values
+        assert diagnosed(u, pair, exps).stationarity <= 1e-10
+        assert np.sqrt(grid.cell_volume * np.sum(np.abs(resid) ** 2)) <= 1e-9
 
     def test_positive_midflow(self, state6, exps):
         grid, u, pair = state6
-        r1, _ = stationarity_residual(u, pair, exps)
-        assert r1 > 1e-2
+        assert diagnosed(u, pair, exps).stationarity > 1e-2
 
     def test_diagnostics_transform_once(self, state6, exps, monkeypatch):
         """One diagnostics call applies the conformal Laplacian once (for the
         stationarity residual and the energy) and the Dirac operator once
-        (for the constraint residual), with the values of the separate
-        functions."""
+        (for the constraint residual), with the values computed apart."""
         grid, u, pair = state6
-        expected = (stationarity_residual(u, pair, exps)[0],
-                    pair.constraint_residual(u, exps),
-                    integrate_values(grid, u.values * conformal_laplacian(u, exps).values))
+        lu = conformal_laplacian(u, exps).values
+        dens = pointwise_norm_sq(pair.psi)
+        energy = integrate_values(grid, u.values * lu)
+        weight = integrate_values(grid, u.values ** exps.p1 * dens)
+        bracket = lu - (energy / weight) * dens * u.values ** exps.p2
+        expected = (float(np.sqrt(integrate_values(grid, bracket ** 2))),
+                    pair.constraint_residual(u, exps), energy)
         counts = {"laplacian": 0, "dirac": 0}
 
         def counting(key, fn):
@@ -176,8 +199,6 @@ class TestActionAndStationarity:
 
         monkeypatch.setattr(edtorus.flow, "conformal_laplacian",
                             counting("laplacian", edtorus.flow.conformal_laplacian))
-        monkeypatch.setattr(edtorus.flow, "apply_dirac",
-                            counting("dirac", edtorus.flow.apply_dirac))
         monkeypatch.setattr(edtorus.pencil, "apply_dirac",
                             counting("dirac", edtorus.pencil.apply_dirac))
         state = FlowState(0.0, u, pair, gap=0.07).with_diagnostics(exps)
@@ -298,7 +319,7 @@ class TestRun:
         assert traj.abort_reason is None
         u_end = traj.final_state.u
         assert np.abs(u_end.values - 1.0).max() <= 2 * eps
-        coeff = fourier_transform(u_end)[1, 0, 0].real * 2
+        coeff = grid_fft(u_end.values)[1, 0, 0].real * 2 / grid.num_points
         assert coeff == pytest.approx(eps * np.exp(-8 * horizon), rel=0.05)
 
 

@@ -20,6 +20,7 @@ from edtorus.fields import (
     kappa_symbols,
     scalar_symbols,
     spinor_momentum,
+    weighted_spinor_inner,
     weighted_spinor_inner_c,
 )
 from edtorus.pencil import (
@@ -38,7 +39,6 @@ from edtorus.pencil import (
     solve_window,
     solver_stats,
     spectrum_near,
-    splitting_probe,
 )
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
@@ -110,7 +110,7 @@ class TestDenseOracle:
         u = generic_u(grid6)
         dense = dense_oracle(u, spin, exps)
         pair = dense.pair(10)
-        assert pair.normalization_error(u, exps) < 1e-12
+        assert abs(weighted_spinor_inner(u, pair.psi, pair.psi, exps) - 1) < 1e-12
         assert pair.constraint_residual(u, exps) < 1e-11
 
 
@@ -511,47 +511,6 @@ class TestSimplicity:
             assert c.gap == np.min(np.abs(outside[:, None] - inside))
             assert c.certified == (0 < c.members[0] and c.members[-1] < len(lams) - 1)
             assert win.cluster_near(c.mean) == c
-
-
-class TestSplittingProbe:
-    def test_zero_direction(self, grid6, spin, exps):
-        u = constant_field(grid6, 1.0)
-        v = constant_field(grid6, 0.0)
-        rep = splitting_probe(u, SQRT3_2, v, (0.02, 0.04, 0.08), spin, exps,
-                              cluster_size=8)
-        assert np.abs(rep.branches - SQRT3_2).max() < 1e-10
-        assert not rep.splits
-
-    def test_constant_direction_scales_together(self, grid6, spin, exps):
-        u = constant_field(grid6, 1.0)
-        v = constant_field(grid6, 1.0)
-        eps = (0.02, 0.04, 0.08)
-        rep = splitting_probe(u, SQRT3_2, v, eps, spin, exps, cluster_size=8)
-        for i, e in enumerate(eps):
-            assert np.abs(rep.branches[i] - SQRT3_2 / (1 + e) ** 2).max() < 1e-10
-        assert not rep.splits
-
-    def test_single_mode_splits_flat_cluster(self, grid6, spin, exps):
-        u = constant_field(grid6, 1.0)
-        v = field_from_function(grid6, lambda x, y, z: np.cos(x))
-        rep = splitting_probe(u, SQRT3_2, v, (0.02, 0.04, 0.08), spin, exps,
-                              cluster_size=8)
-        assert rep.splits
-        assert np.all(np.diff(rep.separations) > 0)
-        assert rep.separations[0] > 1e-4
-
-
-    def test_default_cluster_size_tracks_flat_cluster(self, grid6, spin, exps):
-        # without cluster_size the probe follows the window's cluster at lam,
-        # the 8-fold flat shell
-        u = constant_field(grid6, 1.0)
-        v = field_from_function(grid6, lambda x, y, z: np.cos(x))
-        eps = (0.02, 0.04, 0.08)
-        rep = splitting_probe(u, SQRT3_2, v, eps, spin, exps)
-        fixed = splitting_probe(u, SQRT3_2, v, eps, spin, exps, cluster_size=8)
-        assert rep.branches.shape == (3, 8)
-        assert np.array_equal(rep.branches, fixed.branches)
-        assert rep.splits
 
 
 class TestRigidityProbe:

@@ -51,7 +51,7 @@ class TestTrackedPair:
         got = tracked_pair(dense_oracle(u, spin, exps).window(LAM_REF, 2), LAM_REF)
         assert got.lam == ref.lam
         assert np.abs(got.psi.values - ref.psi.values).max() <= 1e-14
-        assert got.normalization_error(u, exps) <= 1e-14
+        assert abs(weighted_spinor_inner(u, got.psi, got.psi, exps) - 1) <= 1e-14
 
 
 class TestLambdaDot:
@@ -189,9 +189,9 @@ class TestFDStudy:
         pair at each u +- h udot is `refine_pair` started from the base pair."""
         built, refined = [], []
 
-        def counting_oracle(u, *args):
+        def counting_oracle(u, *args, **kwargs):
             built.append(u.values)
-            return dense_oracle(u, *args)
+            return dense_oracle(u, *args, **kwargs)
 
         def recording_refine(u, pair, exps, **kwargs):
             refined.append((u.values, pair))
@@ -202,7 +202,7 @@ class TestFDStudy:
         grid = TorusGrid(6)
         u, udot = generic_u(grid), generic_direction(grid)
         steps = (1e-2, 5e-3)
-        study = fd_study(u, udot, LAM_REF, exps, spin, steps=steps)
+        study = fd_study(u, udot, LAM_REF, exps, steps=steps)
         assert len(built) == 1
         assert np.array_equal(built[0], u.values)
         assert len(refined) == 2 * len(steps)
@@ -227,7 +227,7 @@ class TestFDStudy:
 
         monkeypatch.setattr("edtorus.perturb.refine_pair", recording_refine)
         grid = TorusGrid(6)
-        study = fd_study(generic_u(grid), generic_direction(grid), LAM_REF, exps, spin,
+        study = fd_study(generic_u(grid), generic_direction(grid), LAM_REF, exps,
                          steps=(1e-2, 5e-3))
         assert len(refined) == 4
         for u, pair in refined:
