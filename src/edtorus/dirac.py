@@ -18,6 +18,7 @@ from .fields import (
     SpinStructure,
     TorusGrid,
     TWO_PI,
+    _freeze,
     _integer_modes,
     apply_spinor_symbol,
     grid_fft,
@@ -36,6 +37,16 @@ def dirac_values(grid: TorusGrid, spin: SpinStructure, values: np.ndarray) -> np
     sym = kappa_symbols(grid.n, grid.length, spin.shift)
     hat = grid_fft(values, axes=SPINOR_GRID_AXES)
     return grid_ifft(apply_spinor_symbol(sym.diag, sym.off, hat), axes=SPINOR_GRID_AXES)
+
+
+@lru_cache(maxsize=None)
+def dirac_matrix(n: int, length: float, shift: tuple) -> np.ndarray:
+    """D as a hermitian matrix on packed spinors (values (n, n, n, 2) raveled):
+    `dirac_values` on the identity, built once per grid and spin structure."""
+    dim = 2 * n ** 3
+    eye = np.eye(dim, dtype=np.complex128).reshape((dim, n, n, n, 2))
+    cols = dirac_values(TorusGrid(n, length), SpinStructure(shift), eye).reshape(dim, dim)
+    return _freeze(0.5 * (cols.T + cols.conj()))
 
 
 def apply_dirac(psi: SpinorField) -> SpinorField:
@@ -76,24 +87,20 @@ def flat_spectrum_oracle(grid: TorusGrid, spin: SpinStructure, window):
 
 
 @lru_cache(maxsize=None)
-def _j_phase(n: int, length: float, shift: tuple):
-    """Periodic phase exp(-i*(2*pi/L)*(2*delta).x) relating J to the stored gauge."""
-    grid = TorusGrid(n, length)
-    x1, x2, x3 = grid.coords()
+def j_factors(n: int, length: float, shift: tuple) -> np.ndarray:
+    """The factors (-i phase, i phase) of J's two components, shape
+    (n, n, n, 2), read-only: (J v)_c = factor_c conj(v_{1-c}), with the periodic
+    phase exp(-i (2 pi / L)(2 delta).x) relating J to the stored gauge."""
+    x1, x2, x3 = TorusGrid(n, length).coords()
     theta = (TWO_PI / length) * (shift[0] * x1 + shift[1] * x2 + shift[2] * x3)
     phase = np.exp(-2j * theta)
-    phase.setflags(write=False)
-    return phase
+    return _freeze(np.stack([phase * (-1j), phase * (1j)], axis=-1))
 
 
 def j_values(grid: TorusGrid, spin: SpinStructure, values: np.ndarray) -> np.ndarray:
     """Raw-array form of the quaternionic structure (no field wrapping)."""
-    phase = _j_phase(grid.n, grid.length, spin.shift)
-    v = np.conjugate(values)
-    out = np.empty_like(v)
-    out[..., 0] = phase * (-1j) * v[..., 1]
-    out[..., 1] = phase * (1j) * v[..., 0]
-    return out
+    out = np.conjugate(values[..., ::-1])
+    return np.multiply(j_factors(grid.n, grid.length, spin.shift), out, out=out)
 
 
 def quaternionic_j(psi: SpinorField) -> SpinorField:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import zaxpy
 
-from .dirac import apply_dirac, dirac_values, j_values
+from .dirac import apply_dirac, dirac_matrix, dirac_values, j_factors
 from .errors import ConvergenceFailure, GridTooLarge
 from .fields import (
     SPINOR_GRID_AXES,
@@ -95,7 +97,10 @@ class Pencil:
     def j(self, x: np.ndarray) -> np.ndarray:
         """The quaternionic structure J on a packed vector or on every column
         of a block; antilinear, so J(x c) = J(x) conj(c)."""
-        return self.pack(j_values(self.grid, self.spin, self.unpack(x)))
+        out = np.conjugate(x.reshape((self.grid.num_points, 2) + x.shape[1:])[:, ::-1])
+        factors = j_factors(self.grid.n, self.grid.length, self.spin.shift).reshape(-1, 2)
+        np.multiply(factors if x.ndim == 1 else factors[..., None], out, out=out)
+        return out.reshape(x.shape)
 
     def to_spinor(self, x: np.ndarray) -> SpinorField:
         """Map an L^2-normalized chi vector to the u-weighted-normalized psi."""
@@ -352,28 +357,56 @@ def simplicity_gap(window: SpectrumWindow, lam: float,
 
 
 # ---------------------------------------------------------------------------
-# Dense oracle: explicit hermitian matrix + complete eigendecomposition.
+# Dense oracle: the explicit hermitian matrix of C, with its complete
+# eigendecomposition or the window of it a caller asks for.
 # ---------------------------------------------------------------------------
+
+def _nearest(values: np.ndarray, target: float, count: int) -> np.ndarray:
+    """Ascending indices of the `count` values nearest target, ties to the lower."""
+    return np.sort(np.argsort(np.abs(values - target), kind="stable")[:count])
+
 
 @dataclass
 class DenseSpectrum:
+    """The matrix of C for one pencil.  `eigenvalues`, `eigenvectors` (columns,
+    plain l2-orthonormal chi vectors), `pair` and `nearest_indices` read its
+    complete eigendecomposition, computed on first use; `window` never does."""
+
     pencil: Pencil
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, plain l2-orthonormal chi vectors
+    matrix: np.ndarray
+
+    _full = cached_property(lambda self: np.linalg.eigh(self.matrix))
+    eigenvalues = property(lambda self: self._full[0])
+    eigenvectors = property(lambda self: self._full[1])
 
     def pair(self, index: int) -> EigenPair:
         psi = self.pencil.to_spinor(self.eigenvectors[:, index])
         return EigenPair(float(self.eigenvalues[index]), psi)
 
     def nearest_indices(self, target: float, count: int) -> np.ndarray:
-        order = np.argsort(np.abs(self.eigenvalues - target), kind="stable")
-        sel = np.sort(order[:count])
-        return sel
+        return _nearest(self.eigenvalues, target, count)
 
     def window(self, target: float, count: int) -> SpectrumWindow:
-        sel = self.nearest_indices(target, count)
-        pairs = [self.pair(i) for i in sel]
-        return SpectrumWindow(pairs)
+        """The `count` eigenpairs nearest target, from LAPACK's windowed solver
+        (`evr`) on the eigenvalues in (target - r, target + r], r doubling
+        until min(count, dim) of them lie strictly within r of target.  Every
+        eigenvalue outside is then at least r away, farther than each of
+        those, so the `count` nearest all lie inside, and `nearest_indices`'
+        rule picks them there as from the whole spectrum.  r starts at
+        rms (min(count, dim) / dim)^(1/3), rms = |C|_F / sqrt(dim): under a
+        Weyl density like lambda^2 about that many lie within it of 0."""
+        dim = self.pencil.dim
+        want = min(count, dim)
+        rms = math.sqrt(np.sum(self.matrix.real ** 2 + self.matrix.imag ** 2) / dim)
+        radius = rms * (want / dim) ** (1 / 3)
+        while True:
+            lams, vecs = scipy.linalg.eigh(self.matrix, driver="evr",
+                                           subset_by_value=(target - radius, target + radius))
+            if np.count_nonzero(np.abs(lams - target) < radius) >= want:
+                break
+            radius *= 2.0
+        return SpectrumWindow([EigenPair(float(lams[i]), self.pencil.to_spinor(vecs[:, i]))
+                               for i in _nearest(lams, target, count)])
 
 
 DENSE_GRID_LIMIT = 6
@@ -381,7 +414,8 @@ DENSE_GRID_LIMIT = 6
 
 def dense_oracle(u: ScalarField, spin: SpinStructure | None = None,
                  exps: ExponentTable | None = None) -> DenseSpectrum:
-    """Assemble the symmetrized pencil as an explicit matrix and diagonalize.
+    """The symmetrized pencil as an explicit matrix: the cached
+    `dirac.dirac_matrix` scaled by B^{-1/2} on both sides.
 
     Cross-validation path for the matrix-free solver; limited to n <= 6
     (matrix dimension 2 n^3 <= 432).
@@ -391,10 +425,9 @@ def dense_oracle(u: ScalarField, spin: SpinStructure | None = None,
     if u.grid.n > DENSE_GRID_LIMIT:
         raise GridTooLarge(f"dense path limited to n <= {DENSE_GRID_LIMIT}, got {u.grid.n}")
     pencil = Pencil(u, spin, exps)
-    mat = pencil.apply(np.eye(pencil.dim, dtype=np.complex128))
-    mat = 0.5 * (mat + mat.conj().T)
-    evals, evecs = np.linalg.eigh(mat)
-    return DenseSpectrum(pencil, evals, evecs)
+    scale = np.repeat(1.0 / pencil.b_half.ravel(), 2)
+    mat = dirac_matrix(u.grid.n, u.grid.length, spin.shift) * np.outer(scale, scale)
+    return DenseSpectrum(pencil, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +576,7 @@ def _accepted_window(pencil: Pencil, Y: np.ndarray, CY: np.ndarray, count: int,
     Hc = Y.conj().T @ CY
     theta, Wc = np.linalg.eigh(0.5 * (Hc + Hc.conj().T))
     if Y.shape[1] > count:
-        sel = np.sort(np.argsort(np.abs(theta - sigma), kind="stable")[:count])
+        sel = _nearest(theta, sigma, count)
         theta, Wc = theta[sel], Wc[:, sel]
     Z = Y @ Wc
     if np.linalg.norm(CY @ Wc - Z * theta, axis=0).max() > eff_tol:
@@ -553,6 +586,7 @@ def _accepted_window(pencil: Pencil, Y: np.ndarray, CY: np.ndarray, count: int,
     return SpectrumWindow(pairs, iterations=it)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_window(u: ScalarField, target: float, count: int,
                  spin: SpinStructure | None = None,
                  exps: ExponentTable | None = None,
@@ -586,7 +620,8 @@ def solve_window(u: ScalarField, target: float, count: int,
 
     Raises ConvergenceFailure with the iterations and the largest wanted
     folded residual when the iteration stops unconverged, and with an
-    infinite residual when the Rayleigh-Ritz block is not finite, as when
+    infinite residual as soon as the Rayleigh-Ritz block or a wanted folded
+    residual is not finite (numpy's overflow warnings are silenced), as when
     (C - sigma)^2 overflows for a far target or a tiny side length.
     """
     spin = spin or SpinStructure()
@@ -636,6 +671,9 @@ def solve_window(u: ScalarField, target: float, count: int,
         P = S @ V[nx:k] + j_basis[:, nx:] @ V[k + nx:]
         R = AX - X * mu
         resid = np.linalg.norm(R, axis=0)
+        if not np.isfinite(resid[:wanted]).all():
+            raise ConvergenceFailure("window block is not finite",
+                                     iterations=it, residual=math.inf)
 
         if resid[:wanted].max() <= 50.0 * eff_tol:
             Y, CY = X[:, :wanted], pencil.apply(X[:, :wanted])
@@ -799,9 +837,9 @@ def refine_pair(u: ScalarField, pair: EigenPair, exps: ExponentTable,
 def spectrum_near(u: ScalarField, center: float, count: int,
                   spin: SpinStructure | None = None,
                   exps: ExponentTable | None = None) -> SpectrumWindow:
-    """The `count` eigenpairs nearest `center`: from the dense oracle on grids
-    it covers (n <= DENSE_GRID_LIMIT), from the matrix-free window solver on
-    larger ones."""
+    """The `count` eigenpairs nearest `center`: from the dense oracle's window
+    (no complete decomposition) on grids it covers (n <= DENSE_GRID_LIMIT),
+    from the matrix-free window solver on larger ones."""
     if u.grid.n <= DENSE_GRID_LIMIT:
         return dense_oracle(u, spin, exps).window(center, count)
     return solve_window(u, center, count, spin, exps)

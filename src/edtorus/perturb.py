@@ -165,13 +165,13 @@ def fd_study(u: ScalarField, udot: ScalarField, lam_ref: float, exps: ExponentTa
     """Centered-difference checks of the eigenvalue rate and of the
     gauge-aligned eigenspinor rate.
 
-    The base pair at u is the tracked pair of one dense oracle (n <= 6) at
-    the default spin structure.  The pair at each perturbed factor u +- h udot
-    is `refine_pair` started from the base pair, to the true residual
-    FD_PAIR_TOL, and serves both differences; a refinement that fails raises
-    ConvergenceFailure.  The perturbed spinors are in the continuation gauge,
-    which `refine_pair` returns: each is the quaternionic multiple of its
-    eigenspace closest to the base spinor.
+    The base pair at u is the tracked pair of one dense oracle's window of
+    two (n <= 6) at the default spin structure.  The pair at each perturbed
+    factor u +- h udot is `refine_pair` started from the base pair, to the
+    true residual FD_PAIR_TOL, and serves both differences; a refinement that
+    fails raises ConvergenceFailure.  The perturbed spinors are in the
+    continuation gauge, which `refine_pair` returns: each is the quaternionic
+    multiple of its eigenspace closest to the base spinor.
     """
     base = tracked_pair(dense_oracle(u, exps=exps).window(lam_ref, 2), lam_ref)
     ld = lambda_dot(u, udot, base, exps)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from edtorus.dirac import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
     apply_dirac,
+    dirac_matrix,
     flat_spectrum_oracle,
+    j_values,
     quaternionic_j,
 )
 from edtorus.errors import ConvergenceFailure, GridTooLarge, NonPositiveConformalFactor
@@ -113,6 +116,67 @@ class TestDenseOracle:
         assert abs(weighted_spinor_inner(u, pair.psi, pair.psi, exps) - 1) < 1e-12
         assert pair.constraint_residual(u, exps) < 1e-11
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_matrix_is_the_applied_operator(self, exps, n, shift):
+        # the scaled cached D equals C applied to the identity, hermitized
+        spin = SpinStructure(shift)
+        u = generic_u(TorusGrid(n))
+        pencil = Pencil(u, spin, exps)
+        applied = pencil.apply(np.eye(pencil.dim, dtype=np.complex128))
+        applied = 0.5 * (applied + applied.conj().T)
+        assert np.abs(dense_oracle(u, spin, exps).matrix - applied).max() <= 1e-14
+
+    def test_dirac_matrix_cached_read_only(self, grid6, spin):
+        mat = dirac_matrix(grid6.n, grid6.length, spin.shift)
+        assert dirac_matrix(grid6.n, grid6.length, spin.shift) is mat
+        assert not mat.flags.writeable
+        assert np.array_equal(mat, mat.conj().T)
+
+
+class TestDenseWindow:
+    """`DenseSpectrum.window` against the complete eigendecomposition."""
+
+    @staticmethod
+    def assert_matches_full(dense, target, count):
+        win = dense.window(target, count)
+        sel = dense.nearest_indices(target, count)
+        assert np.abs(win.eigenvalues - dense.eigenvalues[sel]).max() <= 1e-12
+        pencil = dense.pencil
+        chis = np.column_stack([pencil.from_spinor(p.psi) for p in win.pairs])
+        chis /= np.linalg.norm(chis, axis=0)
+        full = dense.eigenvectors[:, sel]
+        assert np.abs(chis @ chis.conj().T - full @ full.conj().T).max() <= 1e-10
+
+    @pytest.mark.parametrize("target", [0.87, 0.88, 2.5, -1.5])
+    @pytest.mark.parametrize("count", [2, 6, 12])
+    def test_matches_full_decomposition(self, grid6, spin, exps, target, count):
+        self.assert_matches_full(dense_oracle(generic_u(grid6), spin, exps), target, count)
+
+    def test_widens_until_the_window_holds_count(self, grid6, spin, exps, monkeypatch):
+        # 12 lies above the largest eigenvalue (about 10.5), so the first
+        # interval around it holds none and is widened
+        intervals = []
+        eigh = scipy.linalg.eigh
+
+        def recording_eigh(*args, **kwargs):
+            intervals.append(kwargs["subset_by_value"])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+        self.assert_matches_full(dense_oracle(generic_u(grid6), spin, exps), 12.0, 2)
+        assert len(intervals) >= 2
+
+    def test_leaves_full_decomposition_uncomputed(self, grid6, spin, exps):
+        dense = dense_oracle(generic_u(grid6), spin, exps)
+        fresh = dense.window(0.88, 6)
+        assert "_full" not in vars(dense)
+        assert dense.eigenvalues.shape == (dense.pencil.dim,)
+        again = dense.window(0.88, 6)
+        assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+        for a, b in zip(again.pairs, fresh.pairs):
+            assert np.array_equal(a.psi.values, b.psi.values)
+
 
 class TestMinres:
     """The single-vector solver on the shifted pencil C - 0.87 (indefinite),
@@ -217,6 +281,17 @@ class TestKappaSymbols:
             assert defect <= 1e-13 * np.linalg.norm(v.values)
         lams = dense_oracle(generic_u(grid), spin, exps).eigenvalues
         assert np.abs(lams[0::2] - lams[1::2]).max() <= 1e-12
+
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_packed_j_is_j_values(self, grid6, exps, rng, shift):
+        # Pencil.j on the packed layout gives the bits of j_values, on a
+        # vector, on a block and on a block's transposed (Fortran) layout
+        spin = SpinStructure(shift)
+        pencil = Pencil(generic_u(grid6), spin, exps)
+        block = rng.standard_normal((pencil.dim, 5)) + 1j * rng.standard_normal((pencil.dim, 5))
+        for x in (block[:, 0], block, np.asfortranarray(block)):
+            expect = pencil.pack(j_values(grid6, spin, pencil.unpack(x)))
+            assert np.array_equal(pencil.j(x), expect)
 
     @pytest.mark.parametrize("shift", SHIFTS)
     def test_kernel_applies_pauli_sigma_kappa(self, grid6, rng, shift):
@@ -419,14 +494,25 @@ class TestSolveWindow:
         with pytest.raises(ValueError):
             solve_window(constant_field(grid6, 1.0), 0.5, 10 ** 6)
 
+    def test_infinite_folded_residual_stops_at_once(self, grid8):
+        # at 1e150 the block H = X^H (C - sigma)^2 X stays finite but the
+        # folded residuals overflow: the failure comes without more iterations
+        reset_solver_stats()
+        with pytest.raises(ConvergenceFailure) as info:
+            solve_window(generic_u(grid8), 1e150, 12)
+        assert info.value.iterations <= 2
+        assert info.value.residual == np.inf
+        assert solver_stats()["lobpcg_iterations"] <= 2
+
 
 class TestSpectrumNear:
     def test_dense_on_small_grids(self, grid6, spin, exps):
         u = generic_u(grid6)
         dense = dense_oracle(u, spin, exps)
-        sel = dense.nearest_indices(0.87, 6)
         win = spectrum_near(u, 0.87, 6, spin, exps)
-        assert np.array_equal(win.eigenvalues, np.sort(dense.eigenvalues[sel]))
+        assert np.array_equal(win.eigenvalues, dense.window(0.87, 6).eigenvalues)
+        sel = dense.nearest_indices(0.87, 6)
+        assert np.abs(win.eigenvalues - dense.eigenvalues[sel]).max() <= 1e-13
         assert win.iterations == 0
 
     def test_matrix_free_above_dense_limit(self, grid8, spin, exps):

@@ -39,10 +39,8 @@ def generic_direction(grid):
 def tracked(exps, spin):
     grid = TorusGrid(6)
     u = generic_u(grid)
-    dense = dense_oracle(u, spin, exps)
-    sel = dense.nearest_indices(LAM_REF, 2)
-    lam = float(dense.eigenvalues[sel].mean())
-    return grid, u, EigenPair(lam, dense.pair(int(sel[0])).psi)
+    window = dense_oracle(u, spin, exps).window(LAM_REF, 2)
+    return grid, u, EigenPair(float(window.eigenvalues.mean()), window.pairs[0].psi)
 
 
 class TestTrackedPair:
